@@ -4,7 +4,9 @@ Scalars are plain Python values: ``int``/``Fraction`` over the rationals,
 ``int`` in ``[0, p)`` over a prime field.  A ``Field`` object supplies the
 arithmetic so the same elimination code runs over either field.  Vectors are
 sparse dicts ``{index: value}`` with no stored zero; matrices are row-major
-lists of such dicts.  Everything is exact: no floating point anywhere.
+lists of such dicts, plus a column-major view of the same entries that is
+built lazily, the first time the matrix is applied to a vector.  Everything
+is exact: no floating point anywhere.
 
 Subspaces are stored as reduced-row-echelon bases, which are unique, so two
 equal subspaces always have identical representations and equality is a
@@ -82,10 +84,15 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1, 1) / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return Fraction(a, 1) / b if isinstance(a, int) and isinstance(b, int) else a / b
+        # an exact integer quotient stays an int: Fraction construction
+        # dominates elimination on the +-1 matrices of the common inputs
+        if isinstance(a, int) and isinstance(b, int):
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return a / b
 
     def row_addmul(self, dst, src, c):
         if c == 0:
@@ -189,35 +196,26 @@ def GF(p):
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors (plain dicts index -> nonzero value)
-
-
-def vec_add(field, u, v):
-    out = dict(u)
-    field.row_addmul(out, v, field.one)
-    return out
-
-
-def vec_sub(field, u, v):
-    out = dict(u)
-    field.row_addmul(out, v, field.neg(field.one))
-    return out
-
-
-def vec_scale(field, u, c):
-    if c == field.zero:
-        return {}
-    return {k: field.mul(v, c) for k, v in u.items()}
-
-
-# ---------------------------------------------------------------------------
 # matrices
 
 
-class Matrix:
-    """Sparse exact matrix; ``rows[r]`` maps column index to nonzero entry."""
+def _columns(rows, ncols):
+    """The column dicts ``{row: value}`` of row-major ``rows``."""
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+
+class Matrix:
+    """Sparse exact matrix; ``rows[r]`` maps column index to nonzero entry.
+
+    ``apply`` caches a column view of ``rows`` on its first call, so
+    ``rows`` must not be mutated once the matrix has been applied.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "_cols")
 
     def __init__(self, field, nrows, ncols, rows=None):
         self.field = field
@@ -228,6 +226,7 @@ class Matrix:
         if len(rows) != nrows:
             raise InputError("row count mismatch")
         self.rows = rows
+        self._cols = None
 
     @classmethod
     def from_entries(cls, field, nrows, ncols, entries):
@@ -274,32 +273,15 @@ class Matrix:
     def copy(self):
         return Matrix(self.field, self.nrows, self.ncols, [dict(r) for r in self.rows])
 
-    def transpose(self):
-        rows = [{} for _ in range(self.ncols)]
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                rows[c][r] = v
-        return Matrix(self.field, self.ncols, self.nrows, rows)
-
     def apply(self, vec):
         """Matrix times sparse column vector (dict over columns)."""
-        f = self.field
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = _columns(self.rows, self.ncols)
+        addmul = self.field.row_addmul
         out = {}
-        for r, row in enumerate(self.rows):
-            if len(row) > len(vec):
-                acc = f.zero
-                for c, x in vec.items():
-                    m = row.get(c)
-                    if m is not None:
-                        acc = f.add(acc, f.mul(m, x))
-            else:
-                acc = f.zero
-                for c, m in row.items():
-                    x = vec.get(c)
-                    if x is not None:
-                        acc = f.add(acc, f.mul(m, x))
-            if acc != f.zero:
-                out[r] = acc
+        for c, x in vec.items():
+            addmul(out, cols[c], x)
         return out
 
     def matmul(self, other):
@@ -458,14 +440,6 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def basis_matrix(self):
-        """Matrix whose columns are the basis vectors (ambient_dim x dim)."""
-        rows = [{} for _ in range(self.ambient_dim)]
-        for j, v in enumerate(self.rows):
-            for i, val in v.items():
-                rows[i][j] = val
-        return Matrix(self.field, self.ambient_dim, self.dim, rows)
-
     def reduce(self, vec):
         """Residual of ``vec`` after subtracting its pivot components."""
         f = self.field
@@ -518,26 +492,19 @@ def kernel(m):
     f = m.field
     red, pivots = _canonical_rows(f, [dict(r) for r in m.rows if r])
     pivset = set(pivots)
-    vectors = []
-    for c in range(m.ncols):
-        if c in pivset:
-            continue
-        v = {c: f.one}
-        for pc, row in zip(pivots, red):
-            val = row.get(c)
-            if val is not None:
-                v[pc] = f.neg(val)
-        vectors.append(v)
-    return Subspace.from_vectors(f, m.ncols, vectors)
+    free = {c: {c: f.one} for c in range(m.ncols) if c not in pivset}
+    # an RREF row is zero at every other pivot column, so its entries off
+    # its own pivot all sit in free columns
+    for pc, row in zip(pivots, red):
+        for c, val in row.items():
+            if c != pc:
+                free[c][pc] = f.neg(val)
+    return Subspace.from_vectors(f, m.ncols, list(free.values()))
 
 
 def image(m):
     """Column space of ``m`` as a canonical Subspace of the row space."""
-    cols = [{} for _ in range(m.ncols)]
-    for r, row in enumerate(m.rows):
-        for c, v in row.items():
-            cols[c][r] = v
-    return Subspace.from_vectors(m.field, m.nrows, cols)
+    return Subspace.from_vectors(m.field, m.nrows, _columns(m.rows, m.ncols))
 
 
 def subspace_sum(u, v):

@@ -194,7 +194,7 @@ def compute_page(fc, r):
         src_reps = page.reps[(p, q)]
         tp, tq = p + r, q - r + 1
         tdim = page.dims.get((tp, tq), 0)
-        m = Matrix(f, tdim, len(src_reps))
+        rows = [{} for _ in range(tdim)]
         for cidx, v in enumerate(src_reps):
             image = w.diffs[l].apply(v)
             if not image:
@@ -208,8 +208,8 @@ def compute_page(fc, r):
                     "page differential image is not a cycle at its target")
             for tag, c in combo.items():
                 if tag[0] == "r" and c != f.zero:
-                    m.rows[tag[1]][cidx] = c
-        page.d[(p, q)] = m
+                    rows[tag[1]][cidx] = c
+        page.d[(p, q)] = Matrix(f, tdim, len(src_reps), rows)
         page.reliable_d.add((p, q))
     return page
 

@@ -1,6 +1,8 @@
 """Exact linear algebra layer: golden cases over both ground fields plus
 randomized structural identities."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -160,6 +162,40 @@ def matrices(draw):
     return Matrix.from_dense(f, rows)
 
 
+# mostly zeros, with fractional entries (over GF(p) read modulo p)
+sparse_entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, "1/2", "-2/3"])
+
+
+@st.composite
+def sparse_matrices(draw):
+    f = draw(st.sampled_from(FIELDS))
+    nr = draw(st.integers(0, 8))
+    nc = draw(st.integers(1, 8))
+    rows = [[f.of(v) for v in draw(st.lists(sparse_entry, min_size=nc,
+                                            max_size=nc))]
+            for _ in range(nr)]
+    return Matrix(f, nr, nc, [{c: v for c, v in enumerate(row) if v}
+                              for row in rows])
+
+
+def sparse_vectors(m):
+    return st.dictionaries(st.integers(0, m.ncols - 1),
+                           sparse_entry.filter(bool).map(m.field.of),
+                           max_size=m.ncols)
+
+
+def dense_apply(m, vec):
+    f = m.field
+    out = {}
+    for r, row in enumerate(dense(m)):
+        acc = f.zero
+        for c, x in vec.items():
+            acc = f.add(acc, f.mul(row[c], x))
+        if acc != f.zero:
+            out[r] = acc
+    return out
+
+
 @st.composite
 def subspace_pairs(draw):
     f = draw(st.sampled_from(FIELDS))
@@ -178,7 +214,7 @@ def test_grassmann_identity(pair):
             == subspace_sum(u, v).dim + subspace_intersect(u, v).dim)
 
 
-@given(matrices())
+@given(st.one_of(matrices(), sparse_matrices()))
 def test_rank_nullity(m):
     assert matrix_rank(m) + kernel(m).dim == m.ncols
     assert image(m).dim == matrix_rank(m)
@@ -201,10 +237,62 @@ def test_canonical_representation(pair):
     assert (u == v) == (u.contains(v) and v.contains(u))
 
 
-@given(matrices())
+@given(st.one_of(matrices(), sparse_matrices()))
 def test_kernel_vectors_annihilate(m):
     for v in kernel(m).rows:
         assert m.apply(v) == {}
+
+
+@given(st.data())
+def test_apply_matches_dense_product(data):
+    m = data.draw(sparse_matrices())
+    vecs = data.draw(st.lists(sparse_vectors(m), min_size=1, max_size=4))
+    expected = [dense_apply(m, v) for v in vecs]
+    assert [m.apply(v) for v in vecs] == expected
+    # the cached column view gives the same products on later calls
+    assert [m.apply(v) for v in reversed(vecs)] == expected[::-1]
+
+
+@given(st.data())
+def test_apply_on_derived_matrices(data):
+    m = data.draw(sparse_matrices())
+    m.apply({0: m.field.one})   # builds the column view of m
+    vec = data.draw(sparse_vectors(m))
+    picked_rows = data.draw(st.lists(st.integers(0, m.nrows - 1), max_size=6)
+                            if m.nrows else st.just([]))
+    picked_cols = data.draw(st.lists(st.integers(0, m.ncols - 1),
+                                     min_size=1, max_size=6, unique=True))
+    sub = m.row_select(picked_rows)
+    assert sub.apply(vec) == dense_apply(sub, vec)
+    sub = m.col_select(picked_cols)
+    svec = {k: x for k, x in vec.items() if k < sub.ncols}
+    assert sub.apply(svec) == dense_apply(sub, svec)
+    # a copy does not share the view: edit its rows before its first apply
+    dup = m.copy()
+    if dup.nrows:
+        dup.rows[0] = {c: m.field.one for c in range(dup.ncols)}
+    assert dup.apply(vec) == dense_apply(dup, vec)
+    assert m.apply(vec) == dense_apply(m, vec)
+
+
+nonzero = st.integers(-60, 60).filter(bool)
+
+
+@given(st.integers(-200, 200), nonzero)
+def test_rational_div_keeps_integer_quotients(a, b):
+    q = QQ.div(a, b)
+    assert q == Fraction(a, b)
+    assert (type(q) is int) == (a % b == 0)
+    assert QQ.div(Fraction(a, 3), b) == Fraction(a, 3 * b)
+    assert QQ.inv(b) == Fraction(1, b)
+
+
+def test_rational_inverse_of_unit_is_int():
+    for u in (1, -1):
+        assert type(QQ.inv(u)) is int and QQ.inv(u) == u
+    assert QQ.inv(Fraction(-1)) == -1
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
 
 
 @given(matrices(), st.lists(entry, min_size=5, max_size=5))

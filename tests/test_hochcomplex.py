@@ -1,6 +1,9 @@
 """Cochain-complex builders: the trajectory-decomposed relative complex,
 the brute-force oracle, and the reduced Ext/Tor complexes."""
 
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -247,3 +250,83 @@ class TestCohomologyDims:
         w = CochainWindow(QQ, 1, None, [2, 3, 1],
                           [Matrix(QQ, 3, 2), Matrix(QQ, 1, 3)])
         assert cohomology_dims(w) == [2, 3]
+
+
+def cochain_differentials(w):
+    """The window's differentials in cochain form, each as its shape and
+    (row, col, value) triples; a chain window's boundaries d_q enter
+    transposed, as delta_{q-1}."""
+    if hasattr(w, "bounds"):
+        return [((d.ncols, d.nrows),
+                 [(c, r, v) for r, row in enumerate(d.rows)
+                  for c, v in row.items()])
+                for d in w.bounds[1:]]
+    return [((d.nrows, d.ncols),
+             [(r, c, v) for r, row in enumerate(d.rows) for c, v in row.items()])
+            for d in w.diffs]
+
+
+def differential_digest(w):
+    """sha256 over every differential's shape and sorted triples."""
+    pinned = [(shape, sorted((r, c, Fraction(v)) for r, c, v in entries))
+              for shape, entries in cochain_differentials(w)]
+    return hashlib.sha256(repr(pinned).encode()).hexdigest()
+
+
+def _residue_field_ext():
+    m = thin_bimodule(FP, FiniteDimAlgebra.field_algebra(FP),
+                      FiniteDimAlgebra.dual_numbers(FP))
+    return build_ext_complex(m, m, 3)
+
+
+def _branching_ext():
+    m31 = branching_algebra().module(3, 1)
+    return build_ext_complex(m31, m31, 2)
+
+
+def _dual_numbers_tor():
+    k = FiniteDimAlgebra.field_algebra(FP)
+    d = FiniteDimAlgebra.dual_numbers(FP)
+    return build_tor_complex(free_bimodule(FP, k, d), free_bimodule(FP, d, k),
+                             d, 2)
+
+
+def _branching_tor():
+    t = branching_algebra()
+    return build_tor_complex(t.module(3, 2), t.module(2, 1), t.diag[1], 3)
+
+
+PINNED = {
+    "relative-kronecker": (
+        lambda: build_relative_complex(kronecker_algebra(QQ), L=3),
+        "0c7f6593e45a93403a07c06242aeb02abc28b0a3ceceb4ad1727a3953ccb60f5"),
+    "relative-nilpotent": (
+        lambda: build_relative_complex(nilpotent_action_algebra(), L=3),
+        "1cb4d8e3ea791d99c52a92f75e68eb234426a1c9d412fb2ba4cef8481f9a6726"),
+    "bar-kronecker": (
+        lambda: bar_oracle(kronecker_algebra(QQ), L=2),
+        "5eef3a4e79ef165a1ca377f3bc7e7c61d89c60be2350a506639674d5f3edcee2"),
+    "bar-nilpotent": (
+        lambda: bar_oracle(nilpotent_action_algebra(), L=2),
+        "c1ec0637c24bd524474454b402c13cd76f0e460657e3a9b34ca4fd4212a305b1"),
+    "ext-residue-field": (
+        _residue_field_ext,
+        "45d731869feccc7f5d4b56db12e49614fe66b2e0d0e3f74677b8e96d19e8ebb1"),
+    "ext-branching-m31": (
+        _branching_ext,
+        "67d485c843371f3cdbe18c0d1a679c32c392e710ac66c0c9168ab866ae32419f"),
+    "tor-branching-adjacent": (
+        _branching_tor,
+        "134f792367e8763bd2981df9854ab4b0bbff6dd9d37c39656d67b214863285cc"),
+    "tor-dual-numbers": (
+        _dual_numbers_tor,
+        "0655b060555322643646fec3e662037d3ab51a5355863cdb42ed2107a95d9fa7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_differentials(name):
+    """Every builder's differentials, entry for entry in basis order; a
+    changed basis order or sign that keeps the dimensions shows here."""
+    build, digest = PINNED[name]
+    assert differential_digest(build()) == digest

@@ -1,15 +1,34 @@
-"""Cochain-complex builders: the trajectory-indexed relative complex, the
-full bar-complex oracle, the reduced two-sided complex computing Ext over a
-pair of algebras, and the chain complex computing Tor over a middle algebra.
+"""Cochain-complex builders.  Every complex here is a word complex: a
+degree is a direct sum of cells, and a cell holds the maps from a tensor
+word of slots (algebras or modules, slot 0 leftmost) into a coefficient
+block.  On a word b_0 ... b_k the differential is
 
-All builders produce explicit sparse matrices over an exact field; the
-relative complex also records the jump-count filtration tag of every basis
-vector, which downstream spectral machinery consumes.
+    b_0 . f(b_1 ... b_k)                                  left action
+    + sum_s (-1)^(s+1) f(b_0 ... (b_s b_{s+1}) ... b_k)   contractions
+    + (-1)^(k+1) f(b_0 ... b_{k-1}) . b_k                 right action
+
+``_word_window`` is the one place that writes this sign rule and the
+index arithmetic; each public builder lays out its cells and names the
+product table of every term:
+
+- ``build_relative_complex``: the complex of a triangular algebra relative
+  to its diagonal, one cell per trajectory, each basis vector tagged by
+  the jump count that filters it;
+- ``build_bar_complex`` and ``bar_oracle``: the classical complex
+  Hom(T^{(x) l}, X), the independent oracle;
+- ``build_ext_complex``: cells B^{(x) q} (x) N (x) A^{(x) p} -> X, whose
+  cohomology is Ext over the pair (B, A);
+- ``build_tor_complex``: cells m2 (x) mid^{(x) q} (x) m1 -> k with
+  contractions only, the dual of the chain complex computing Tor over
+  the middle algebra.
+
+All matrices are sparse over an exact field.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 from .algebra import TBimodule
 from .errors import BudgetExceeded, InputError, InternalInvariantError
@@ -96,27 +115,128 @@ def cohomology_dims(w):
 
 
 # ---------------------------------------------------------------------------
+# the word-complex emitter
+
+
+def _layout(shapes):
+    """One degree's cells in basis order from (key, slot dims, coefficient
+    dim, tag) shapes, empty cells dropped: dict key -> (Cell, slot dims)."""
+    out = {}
+    offset = 0
+    for key, slots, xdim, tag in shapes:
+        cell = Cell(key, offset, prod(slots), xdim, tag)
+        if cell.dim:
+            out[key] = (cell, slots)
+            offset += cell.dim
+    return out
+
+
+def _bases(offset, pre, block, post, x, inner):
+    """Flat indices of a cell's basis vectors with the touched digits at
+    zero: ``pre`` words ahead of them (``block`` apart), ``post`` behind,
+    coefficient stride ``x`` and ``inner`` untouched coefficients."""
+    return [offset + (q * block + p) * x + i
+            for q in range(pre) for p in range(post) for i in range(inner)]
+
+
+def _word_window(f, L, layout, terms, tagged=False, kappa=None):
+    """The window of degrees 0..L+1 whose degree l has the cells of
+    ``layout[l]`` (dict key -> (Cell, slot dims), in basis order).
+
+    ``terms(key)`` names the terms of the differential into the row cell
+    ``key`` as (left, contract, right).  Each term is a pair (table,
+    column cell key); left and right may be None, and contract[s] merges
+    slots s, s+1.  Tables map
+      left:     (slot-0 letter, column coefficient) -> row coefficients,
+      contract: (letter s, letter s+1) -> merged column letters,
+      right:    (column coefficient, last letter) -> row coefficients,
+    each as a sparse vector.  A term whose column cell is absent is zero.
+    """
+    neg = f.neg
+    cells = [[c for c, _ in lay.values()] for lay in layout]
+    dims = [sum(c.dim for c in cs) for cs in cells]
+    diffs = []
+    for l in range(L + 1):
+        below = layout[l]
+        entries = []
+        for key, (cell, slots) in layout[l + 1].items():
+            left, contract, right = terms(key)
+            x = cell.xdim
+            stride = [prod(slots[s + 1:]) for s in range(len(slots))]
+            # left action of slot 0, sign +1
+            if left is not None and left[1] in below:
+                table, ckey = left
+                col = below[ckey][0]
+                rest = col.mdim
+                _emit(entries,
+                      [(a * rest * x + xo, xi, c)
+                       for (a, xi), vec in table.items()
+                       for xo, c in vec.items()],
+                      _bases(cell.offset, 1, 0, rest, x, 1),
+                      _bases(col.offset, 1, 0, rest, col.xdim, 1))
+            # contraction of slots s, s+1, sign (-1)^(s+1)
+            for s, (table, ckey) in enumerate(contract):
+                if ckey not in below:
+                    continue
+                col, cslots = below[ckey]
+                post = stride[s + 1]
+                pre = prod(slots[:s])
+                _emit(entries,
+                      [((u * stride[s] + v * post) * x, m * post * x,
+                        c if s % 2 else neg(c))
+                       for (u, v), vec in table.items()
+                       for m, c in vec.items()],
+                      _bases(cell.offset, pre, slots[s] * stride[s], post,
+                             x, x),
+                      _bases(col.offset, pre, cslots[s] * post, post, x, x))
+            # right action of the last slot, sign (-1)^(number of slots)
+            if right is not None and right[1] in below:
+                table, ckey = right
+                col = below[ckey][0]
+                _emit(entries,
+                      [(a * x + xo, xi, neg(c) if len(slots) % 2 else c)
+                       for (xi, a), vec in table.items()
+                       for xo, c in vec.items()],
+                      _bases(cell.offset, col.mdim, slots[-1], 1, x, 1),
+                      _bases(col.offset, col.mdim, 1, 1, col.xdim, 1))
+        diffs.append(Matrix.from_entries(f, dims[l + 1], dims[l], entries))
+    tags = None
+    if tagged:
+        tags = [[c.tag for c in cs for _ in range(c.dim)] for cs in cells]
+    return CochainWindow(f, L, cells, dims, diffs, tags=tags, kappa=kappa)
+
+
+def _emit(entries, deltas, rows, cols):
+    """Entries (row + dr, col + dc, v) for each delta (dr, dc, v) and each
+    aligned pair of base indices."""
+    pairs = list(zip(rows, cols))
+    for dr, dc, v in deltas:
+        entries.extend([(r + dr, c + dc, v) for r, c in pairs])
+
+
+# ---------------------------------------------------------------------------
 # relative complex over the diagonal subalgebra
 
 
+def _cell_key(tau):
+    return (tau, (tau.target, tau.source))
+
+
 def _merge_move(t, later, earlier):
-    """Contraction data for the adjacent component pair (later, earlier):
-    the merged move and a pair-product function (b_later, b_earlier) ->
-    sparse vector over the merged block's basis."""
+    """Contraction data for the adjacent component pair (later, earlier)
+    of a nonzero cell, so both blocks exist: the merged move and the
+    pair-product table (b_later, b_earlier) -> sparse vector over the
+    merged block's basis."""
     if not later.is_jump and not earlier.is_jump:
-        alg = t.diag[later.vertex - 1]
-        return Stay(later.vertex), alg.basis_product
+        return Stay(later.vertex), t.diag[later.vertex - 1].mul
     if not later.is_jump:
-        m = t.module(earlier.target, earlier.source)
-        fn = m.left_basis_act if m else (lambda a, b: {})
-        return Jump(earlier.source, earlier.target), fn
+        return (Jump(earlier.source, earlier.target),
+                t.module(earlier.target, earlier.source).lact)
     if not earlier.is_jump:
-        m = t.module(later.target, later.source)
-        fn = m.right_basis_act if m else (lambda a, b: {})
-        return Jump(later.source, later.target), fn
+        return (Jump(later.source, later.target),
+                t.module(later.target, later.source).ract)
     mu = t.mu(later.target, later.source, earlier.source)
-    fn = mu.pair_apply if mu else (lambda a, b: {})
-    return Jump(earlier.source, later.target), fn
+    return Jump(earlier.source, later.target), mu.pair if mu else {}
 
 
 def build_relative_complex(t, x=None, L=4):
@@ -131,114 +251,27 @@ def build_relative_complex(t, x=None, L=4):
     """
     if x is None:
         x = TBimodule.regular(t)
-    f = t.field
-    n = t.n
+    layout = [_layout((_cell_key(tau), TrajectoryBasis.over(t, tau).slot_dims,
+                       x.block_dim(tau.target, tau.source), tau.length)
+                      for tau in enumerate_trajectories(t.n, l))
+              for l in range(L + 2)]
 
-    cells = []
-    dims = []
-    tags = []
-    cell_pairs = []    # per degree: ordered list of (Cell, TrajectoryBasis)
-    cell_lookup = []   # per degree: trajectory -> (Cell, TrajectoryBasis)
-    for l in range(L + 2):
-        degree_cells = []
-        lookup = {}
-        offset = 0
-        for tau in enumerate_trajectories(n, l):
-            basis = TrajectoryBasis.over(t, tau)
-            xdim = x.block_dim(tau.target, tau.source)
-            cell = Cell((tau, (tau.target, tau.source)), offset,
-                        basis.dim, xdim, tau.length)
-            if cell.dim == 0:
-                continue
-            degree_cells.append((cell, basis))
-            lookup[tau] = (cell, basis)
-            offset += cell.dim
-        cells.append([c for (c, _) in degree_cells])
-        cell_pairs.append(degree_cells)
-        cell_lookup.append(lookup)
-        dims.append(offset)
-        tagv = []
-        for c in cells[-1]:
-            tagv.extend([c.tag] * c.dim)
-        tags.append(tagv)
-
-    diffs = []
-    for l in range(L + 1):
-        entries = []
-        for cell, basis in cell_pairs[l + 1]:
-            _relative_rows(t, x, l, cell, basis, cell_lookup[l], entries)
-        diffs.append(Matrix.from_entries(f, dims[l + 1], dims[l], entries))
-    return CochainWindow(f, L, cells, dims, diffs, tags=tags)
-
-
-def _relative_rows(t, x, l, cell, basis, col_lookup, entries):
-    """All matrix entries whose row lies in the given degree-(l+1) cell."""
-    f = t.field
-    tau, (J, I) = cell.key
-    comps = tau.components
-    xdim_row = cell.xdim
-
-    # term 0: left action by the slot-0 letter on the dropped-first column
-    rest = Trajectory(comps[1:], tau.source)
-    rc = col_lookup.get(rest)
-    if rc is not None:
-        col_cell, col_basis = rc
-        mid = comps[0].source
-        act = x.left_block_action(J, mid, I)
-        for b in basis.tuples():
-            row_base = cell.offset + basis.flat_index(b) * xdim_row
-            col_base = col_cell.offset + col_basis.flat_index(b[1:]) * col_cell.xdim
-            for xi in range(col_cell.xdim):
-                vec = act.get((b[0], xi))
-                if not vec:
-                    continue
-                for xip, c in vec.items():
-                    entries.append((row_base + xip, col_base + xi, c))
-
-    # terms i = 1..l: contract adjacent slots i-1, i with sign (-1)^i
-    for i in range(1, l + 1):
-        s = i - 1
-        merged, pairfn = _merge_move(t, comps[s], comps[s + 1])
-        contracted = Trajectory(comps[:s] + (merged,) + comps[s + 2:],
-                                tau.source)
-        rc = col_lookup.get(contracted)
-        if rc is None:
-            continue
-        col_cell, col_basis = rc
-        sign = f.one if i % 2 == 0 else f.neg(f.one)
-        for b in basis.tuples():
-            prod = pairfn(b[s], b[s + 1])
-            if not prod:
-                continue
-            row_base = cell.offset + basis.flat_index(b) * xdim_row
-            pre = b[:s]
-            post = b[s + 2:]
-            for m_new, c in prod.items():
-                col_flat = col_basis.flat_index(pre + (m_new,) + post)
-                col_base = col_cell.offset + col_flat * col_cell.xdim
-                cc = f.mul(sign, c)
-                for xi in range(col_cell.xdim):
-                    entries.append((row_base + xi, col_base + xi, cc))
-
-    # term l+1: right action by the last letter, sign (-1)^(l+1)
-    last = Trajectory(comps[:-1], comps[-1].target)
-    rc = col_lookup.get(last)
-    if rc is not None:
-        col_cell, col_basis = rc
+    def terms(key):
+        tau, (J, I) = key
+        comps = tau.components
+        contract = []
+        for s in range(len(comps) - 1):
+            merged, table = _merge_move(t, comps[s], comps[s + 1])
+            contract.append((table, _cell_key(Trajectory(
+                comps[:s] + (merged,) + comps[s + 2:], I))))
         mid = comps[-1].target
-        act = x.right_block_action(J, mid, I)
-        sign = f.one if (l + 1) % 2 == 0 else f.neg(f.one)
-        for b in basis.tuples():
-            row_base = cell.offset + basis.flat_index(b) * xdim_row
-            col_base = (col_cell.offset
-                        + col_basis.flat_index(b[:-1]) * col_cell.xdim)
-            for xi in range(col_cell.xdim):
-                vec = act.get((xi, b[-1]))
-                if not vec:
-                    continue
-                for xip, c in vec.items():
-                    entries.append((row_base + xip, col_base + xi,
-                                    f.mul(sign, c)))
+        return ((x.left_block_action(J, comps[0].source, I),
+                 _cell_key(Trajectory(comps[1:], I))),
+                contract,
+                (x.right_block_action(J, mid, I),
+                 _cell_key(Trajectory(comps[:-1], mid))))
+
+    return _word_window(t.field, L, layout, terms, tagged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +298,15 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
 
     Refuses builds whose estimated entry count exceeds the budget.
     """
-    f = t_total.field
     d = t_total.dim
     dx = x.dim
     required = bar_budget_estimate(d, dx, L)
     if required > budget:
         raise BudgetExceeded(required, budget)
 
-    tweight = xweight = None
-    if grading is not None:
-        tweight, xweight = grading
-
-    dims = [dx * d ** l for l in range(L + 2)]
     kappa = None
     if grading is not None:
+        tweight, xweight = grading
         kappa = []
         for l in range(L + 2):
             keys = []
@@ -288,67 +316,19 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
                     keys.append(wsum - xweight[xi])
             kappa.append(keys)
 
-    lact = x.lact
-    ract = x.ract
-    mul = t_total.mul
-    diffs = []
-    for l in range(L + 1):
-        entries = []
-        for word in itertools.product(range(d), repeat=l + 1):
-            wflat = 0
-            for u in word:
-                wflat = wflat * d + u
-            row_base = wflat * dx
+    layout = [_layout([(("bar", l), (d,) * l, dx, None)])
+              for l in range(L + 2)]
 
-            # left action
-            sub = word[1:]
-            cflat = 0
-            for u in sub:
-                cflat = cflat * d + u
-            col_base = cflat * dx
-            for xi in range(dx):
-                vec = lact.get((word[0], xi))
-                if vec:
-                    for xip, c in vec.items():
-                        entries.append((row_base + xip, col_base + xi, c))
+    def terms(key):
+        below = ("bar", key[1] - 1)
+        return ((x.lact, below), [(t_total.mul, below)] * (key[1] - 1),
+                (x.ract, below))
 
-            # contractions
-            for i in range(1, l + 1):
-                s = i - 1
-                prod = mul.get((word[s], word[s + 1]))
-                if not prod:
-                    continue
-                sign = f.one if i % 2 == 0 else f.neg(f.one)
-                pre = word[:s]
-                post = word[s + 2:]
-                for m_new, c in prod.items():
-                    cflat = 0
-                    for u in pre + (m_new,) + post:
-                        cflat = cflat * d + u
-                    col_base = cflat * dx
-                    cc = f.mul(sign, c)
-                    for xi in range(dx):
-                        entries.append((row_base + xi, col_base + xi, cc))
-
-            # right action
-            sub = word[:-1]
-            cflat = 0
-            for u in sub:
-                cflat = cflat * d + u
-            col_base = cflat * dx
-            sign = f.one if (l + 1) % 2 == 0 else f.neg(f.one)
-            for xi in range(dx):
-                vec = ract.get((xi, word[-1]))
-                if vec:
-                    for xip, c in vec.items():
-                        entries.append((row_base + xip, col_base + xi,
-                                        f.mul(sign, c)))
-        m = Matrix.from_entries(f, dims[l + 1], dims[l], entries)
-        if kappa is not None:
-            _check_grading(m, kappa[l + 1], kappa[l])
-        diffs.append(m)
-    cells = [[Cell(("bar", l), 0, d ** l, dx, None)] for l in range(L + 2)]
-    return CochainWindow(f, L, cells, dims, diffs, tags=None, kappa=kappa)
+    w = _word_window(t_total.field, L, layout, terms, kappa=kappa)
+    if kappa is not None:
+        for l in range(L + 1):
+            _check_grading(w.diffs[l], kappa[l + 1], kappa[l])
+    return w
 
 
 def _check_grading(m, row_keys, col_keys):
@@ -381,202 +361,58 @@ def build_ext_complex(n_mod, x_block, L):
     bimodule x_block over the same pair.
 
     Degree l splits into cells (q, p), q + p = l, of maps
-    B^{(x) q} (x) N (x) A^{(x) p} -> X; the differential combines the left
-    action, all adjacent contractions with alternating signs, and the
-    right action with sign (-1)^l.
+    B^{(x) q} (x) N (x) A^{(x) p} -> X.  Contractions are B.B, B.N, N.A
+    and A.A; the left action needs q >= 1 and the right one p >= 1.
     """
     B = n_mod.left_alg
     A = n_mod.right_alg
     if x_block.left_alg is not B or x_block.right_alg is not A:
         raise InputError("coefficient block must be a bimodule over the same pair")
-    f = n_mod.field
-    db, da, dn, dx = B.dim, A.dim, n_mod.dim, x_block.dim
+    layout = [_layout(((q, l - q),
+                       (B.dim,) * q + (n_mod.dim,) + (A.dim,) * (l - q),
+                       x_block.dim, None)
+                      for q in range(l, -1, -1))
+              for l in range(L + 2)]
 
-    cells = []
-    dims = []
-    lookup = []
-    for l in range(L + 2):
-        degree_cells = []
-        lk = {}
-        offset = 0
-        for q in range(l, -1, -1):
-            p = l - q
-            mdim = (db ** q) * dn * (da ** p)
-            cell = Cell((q, p), offset, mdim, dx, None)
-            if cell.dim:
-                degree_cells.append(cell)
-                lk[(q, p)] = cell
-                offset += cell.dim
-        cells.append(degree_cells)
-        lookup.append(lk)
-        dims.append(offset)
+    def terms(key):
+        q, p = key
+        drop_b, drop_a = (q - 1, p), (q, p - 1)
+        contract = [(B.mul, drop_b)] * (q - 1)
+        if q:
+            contract.append((n_mod.lact, drop_b))
+        if p:
+            contract.append((n_mod.ract, drop_a))
+        contract += [(A.mul, drop_a)] * (p - 1)
+        return ((x_block.lact, drop_b) if q else None, contract,
+                (x_block.ract, drop_a) if p else None)
 
-    def word_flat(bs, xn, as_):
-        k = 0
-        for u in bs:
-            k = k * db + u
-        k = k * dn + xn
-        for u in as_:
-            k = k * da + u
-        return k
-
-    diffs = []
-    for l in range(L + 1):
-        entries = []
-        for (qp, pp), cell in lookup[l + 1].items():
-            sign_q = f.one if qp % 2 == 0 else f.neg(f.one)
-            left_cell = lookup[l].get((qp - 1, pp))
-            right_cell = lookup[l].get((qp, pp - 1))
-            for bs in itertools.product(range(db), repeat=qp):
-                for xn in range(dn):
-                    for as_ in itertools.product(range(da), repeat=pp):
-                        row_base = (cell.offset
-                                    + word_flat(bs, xn, as_) * dx)
-                        # left action, sign +1
-                        if qp >= 1 and left_cell is not None:
-                            col_base = (left_cell.offset
-                                        + word_flat(bs[1:], xn, as_) * dx)
-                            for xi in range(dx):
-                                vec = x_block.left_basis_act(bs[0], xi)
-                                for xip, c in vec.items():
-                                    entries.append((row_base + xip,
-                                                    col_base + xi, c))
-                        # B-run contractions, pair i sign (-1)^i
-                        if left_cell is not None:
-                            for i in range(1, qp):
-                                prod = B.basis_product(bs[i - 1], bs[i])
-                                if not prod:
-                                    continue
-                                sg = f.one if i % 2 == 0 else f.neg(f.one)
-                                for m_new, c in prod.items():
-                                    nb = bs[:i - 1] + (m_new,) + bs[i + 1:]
-                                    col_base = (left_cell.offset
-                                                + word_flat(nb, xn, as_) * dx)
-                                    cc = f.mul(sg, c)
-                                    for xi in range(dx):
-                                        entries.append((row_base + xi,
-                                                        col_base + xi, cc))
-                            # absorb the last B letter into N, sign (-1)^q'
-                            if qp >= 1:
-                                prod = n_mod.left_basis_act(bs[-1], xn)
-                                for m_new, c in prod.items():
-                                    col_base = (left_cell.offset
-                                                + word_flat(bs[:-1], m_new,
-                                                            as_) * dx)
-                                    cc = f.mul(sign_q, c)
-                                    for xi in range(dx):
-                                        entries.append((row_base + xi,
-                                                        col_base + xi, cc))
-                        if right_cell is not None and pp >= 1:
-                            # absorb the first A letter, sign (-1)^(q'+1)
-                            sg = f.neg(sign_q)
-                            prod = n_mod.right_basis_act(xn, as_[0])
-                            for m_new, c in prod.items():
-                                col_base = (right_cell.offset
-                                            + word_flat(bs, m_new,
-                                                        as_[1:]) * dx)
-                                cc = f.mul(sg, c)
-                                for xi in range(dx):
-                                    entries.append((row_base + xi,
-                                                    col_base + xi, cc))
-                            # A-run contractions, pair i sign (-1)^(q'+1+i)
-                            for i in range(1, pp):
-                                prod = A.basis_product(as_[i - 1], as_[i])
-                                if not prod:
-                                    continue
-                                par = (qp + 1 + i) % 2
-                                sg = f.one if par == 0 else f.neg(f.one)
-                                for m_new, c in prod.items():
-                                    na = as_[:i - 1] + (m_new,) + as_[i + 1:]
-                                    col_base = (right_cell.offset
-                                                + word_flat(bs, xn, na) * dx)
-                                    cc = f.mul(sg, c)
-                                    for xi in range(dx):
-                                        entries.append((row_base + xi,
-                                                        col_base + xi, cc))
-                            # right action, sign (-1)^l
-                            sg = f.one if l % 2 == 0 else f.neg(f.one)
-                            col_base = (right_cell.offset
-                                        + word_flat(bs, xn, as_[:-1]) * dx)
-                            for xi in range(dx):
-                                vec = x_block.right_basis_act(xi, as_[-1])
-                                for xip, c in vec.items():
-                                    entries.append((row_base + xip,
-                                                    col_base + xi,
-                                                    f.mul(sg, c)))
-        diffs.append(Matrix.from_entries(f, dims[l + 1], dims[l], entries))
-    return CochainWindow(f, L, cells, dims, diffs)
+    return _word_window(n_mod.field, L, layout, terms)
 
 
 # ---------------------------------------------------------------------------
-# chain complex computing Tor over a middle algebra
-
-
-class ChainWindow:
-    """Chain complex C_0 .. C_{L+1} with boundaries d_q: C_q -> C_{q-1}
-    built for q = 1..L+1; homology is reliable through degree L."""
-
-    __slots__ = ("field", "L", "dims", "bounds")
-
-    def __init__(self, field, L, dims, bounds):
-        self.field = field
-        self.L = L
-        self.dims = dims
-        self.bounds = bounds   # bounds[q] = d_q for q = 1..L+1; bounds[0] unused
-
-    def homology_dims(self):
-        ranks = [0] + [matrix_rank(self.bounds[q]) for q in range(1, self.L + 2)]
-        return [self.dims[q] - ranks[q] - ranks[q + 1]
-                for q in range(self.L + 1)]
-
-    def __repr__(self):
-        return f"ChainWindow(L={self.L}, dims {self.dims})"
+# cochain complex computing Tor over a middle algebra
 
 
 def build_tor_complex(m2, m1, mid, L):
-    """Chain complex  m2 (x) mid^{(x) q} (x) m1  whose homology is Tor over
-    the middle algebra; boundaries alternate the right action on m2, the
-    internal contractions, and the left action on m1, the j-th pair
-    carrying sign (-1)^j."""
+    """Cochain window dual to the chain complex  m2 (x) mid^{(x) q} (x) m1
+    whose homology is Tor over the middle algebra: delta_{q-1} is the
+    transpose of the boundary d_q.  The boundary's terms (the right action
+    on m2, the internal contractions, the left action on m1, the j-th with
+    sign (-1)^j) all contract adjacent slots, so the cells have a
+    one-dimensional coefficient and no outer actions.  The window's
+    cohomology dimensions are the Tor dimensions."""
     if m2.right_alg is not mid or m1.left_alg is not mid:
         raise InputError("tensor factors do not act through the middle algebra")
-    f = mid.field
-    d2, dm, d1 = m2.dim, mid.dim, m1.dim
-    dims = [d2 * (dm ** q) * d1 for q in range(L + 2)]
-    bounds = [None]
-    for q in range(1, L + 2):
-        entries = []
-        for y in range(d2):
-            for word in itertools.product(range(dm), repeat=q):
-                for xn in range(d1):
-                    col = (y * (dm ** q) + _flat(word, dm)) * d1 + xn
-                    for j in range(1, q + 2):
-                        sign = f.one if j % 2 == 0 else f.neg(f.one)
-                        if j == 1:
-                            prod = m2.right_basis_act(y, word[0])
-                            for yy, c in prod.items():
-                                row = ((yy * (dm ** (q - 1))
-                                        + _flat(word[1:], dm)) * d1 + xn)
-                                entries.append((row, col, f.mul(sign, c)))
-                        elif j <= q:
-                            prod = mid.basis_product(word[j - 2], word[j - 1])
-                            for bb, c in prod.items():
-                                row = ((y * (dm ** (q - 1))
-                                        + _flat(word[:j - 2] + (bb,)
-                                                + word[j:], dm)) * d1 + xn)
-                                entries.append((row, col, f.mul(sign, c)))
-                        else:
-                            prod = m1.left_basis_act(word[-1], xn)
-                            for xx, c in prod.items():
-                                row = ((y * (dm ** (q - 1))
-                                        + _flat(word[:-1], dm)) * d1 + xx)
-                                entries.append((row, col, f.mul(sign, c)))
-        bounds.append(Matrix.from_entries(f, dims[q - 1], dims[q], entries))
-    return ChainWindow(f, L, dims, bounds)
+    layout = [_layout([(("tor", q), (m2.dim,) + (mid.dim,) * q + (m1.dim,), 1,
+                        None)])
+              for q in range(L + 2)]
 
+    def terms(key):
+        q = key[1]
+        below = ("tor", q - 1)
+        return (None,
+                [(m2.ract, below)] + [(mid.mul, below)] * (q - 1)
+                + [(m1.lact, below)],
+                None)
 
-def _flat(word, radix):
-    k = 0
-    for u in word:
-        k = k * radix + u
-    return k
+    return _word_window(mid.field, L, layout, terms)

@@ -576,10 +576,9 @@ def check_degeneration_A2k(t, x=None, L=4):
 
     # explicit second-differential vanishing for the outer summands
     for lvl in (1, 3):
-        alg = t.diag[lvl - 1]
         blk = x_block_bimodule(t, x, lvl, lvl)
+        bw = build_bar_complex(t.diag[lvl - 1], blk, L - 1)
         for l in range(1, L):
-            bw = build_bar_complex(alg, blk, l)
             cocycles = kernel(bw.diffs[l])
             if cocycles.dim == 0:
                 continue

@@ -189,6 +189,16 @@ class TestExtComplex:
         m = thin_bimodule(FP, k, d)
         assert cohomology_dims(build_ext_complex(m, m, 3)) == [1, 1, 1, 1]
 
+    def test_delta_squared_zero(self):
+        d = FiniteDimAlgebra.dual_numbers(FP)
+        residue = thin_bimodule(FP, FiniteDimAlgebra.field_algebra(FP), d)
+        m31 = branching_algebra().module(3, 1)
+        shift = nilpotent_action_algebra().module(2, 1)
+        for m in (residue, m31, shift):
+            w = build_ext_complex(m, m, 3)
+            for l in range(w.L):
+                assert w.diffs[l + 1].matmul(w.diffs[l]).nnz() == 0
+
     def test_free_right_module_is_projective(self):
         """The shift module is free of rank one over k[x]/(x^2), so only
         degree zero survives: End = the algebra itself."""
@@ -205,7 +215,7 @@ class TestTorComplex:
         m2 = free_bimodule(FP, sq, k)
         m1 = free_bimodule(FP, k, d)
         w = build_tor_complex(m2, m1, k, 2)
-        assert w.homology_dims() == [4, 0, 0]
+        assert cohomology_dims(w) == [4, 0, 0]
 
     def test_over_product_one_common_factor(self):
         k = FiniteDimAlgebra.field_algebra(FP)
@@ -213,7 +223,7 @@ class TestTorComplex:
         m2 = thin_bimodule(FP, k, sq)
         m1 = thin_bimodule(FP, sq, k)
         w = build_tor_complex(m2, m1, sq, 2)
-        assert w.homology_dims() == [1, 0, 0]
+        assert cohomology_dims(w) == [1, 0, 0]
 
     def test_zero_factor(self):
         k = FiniteDimAlgebra.field_algebra(FP)
@@ -221,7 +231,7 @@ class TestTorComplex:
         z = Bimodule.zero(FP, k, sq)
         m1 = thin_bimodule(FP, sq, k)
         w = build_tor_complex(z, m1, sq, 2)
-        assert w.homology_dims() == [0, 0, 0]
+        assert cohomology_dims(w) == [0, 0, 0]
 
     def test_action_mismatch(self):
         k = FiniteDimAlgebra.field_algebra(FP)
@@ -235,9 +245,24 @@ class TestTorComplex:
         Tor; checked on a path algebra's adjacent blocks."""
         t = branching_algebra()
         w = build_tor_complex(t.module(3, 2), t.module(2, 1), t.diag[1], 3)
-        dims = w.homology_dims()
+        dims = cohomology_dims(w)
         assert dims[0] == t.block_dim(3, 1)
         assert dims[1:] == [0, 0, 0]
+
+
+    def test_delta_squared_zero(self):
+        k = FiniteDimAlgebra.field_algebra(FP)
+        sq = FiniteDimAlgebra.product_of_fields(FP, 2)
+        d = FiniteDimAlgebra.dual_numbers(FP)
+        t = branching_algebra()
+        for m2, m1, mid in (
+                (free_bimodule(FP, sq, k), free_bimodule(FP, k, d), k),
+                (thin_bimodule(FP, k, sq), thin_bimodule(FP, sq, k), sq),
+                (free_bimodule(FP, k, d), free_bimodule(FP, d, k), d),
+                (t.module(3, 2), t.module(2, 1), t.diag[1])):
+            w = build_tor_complex(m2, m1, mid, 3)
+            for l in range(w.L):
+                assert w.diffs[l + 1].matmul(w.diffs[l]).nnz() == 0
 
 
 class TestCohomologyDims:

@@ -139,6 +139,14 @@ def _bases(offset, pre, block, post, x, inner):
             for q in range(pre) for p in range(post) for i in range(inner)]
 
 
+def _emit(entries, deltas, rows, cols):
+    """Entries (row + dr, col + dc, v) for each delta (dr, dc, v) and each
+    aligned pair of base indices."""
+    pairs = list(zip(rows, cols))
+    for dr, dc, v in deltas:
+        entries.extend([(r + dr, c + dc, v) for r, c in pairs])
+
+
 def _word_window(f, L, layout, terms, tagged=False, kappa=None):
     """The window of degrees 0..L+1 whose degree l has the cells of
     ``layout[l]`` (dict key -> (Cell, slot dims), in basis order).
@@ -204,14 +212,6 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
     if tagged:
         tags = [[c.tag for c in cs for _ in range(c.dim)] for cs in cells]
     return CochainWindow(f, L, cells, dims, diffs, tags=tags, kappa=kappa)
-
-
-def _emit(entries, deltas, rows, cols):
-    """Entries (row + dr, col + dc, v) for each delta (dr, dc, v) and each
-    aligned pair of base indices."""
-    pairs = list(zip(rows, cols))
-    for dr, dc, v in deltas:
-        entries.extend([(r + dr, c + dc, v) for r, c in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,6 @@ class TestTorComplex:
         assert dims[0] == t.block_dim(3, 1)
         assert dims[1:] == [0, 0, 0]
 
-
     def test_delta_squared_zero(self):
         k = FiniteDimAlgebra.field_algebra(FP)
         sq = FiniteDimAlgebra.product_of_fields(FP, 2)

@@ -1,6 +1,9 @@
 """Structure-constant layer: algebras, bimodules, composition maps, the
 assembled triangular algebra, and the balanced tensor product."""
 
+import hashlib
+import pathlib
+
 import pytest
 
 from trihoch import (
@@ -12,9 +15,16 @@ from trihoch import (
     InputError,
     TBimodule,
     TriangularAlgebra,
+    SimplicialComplex,
     build_tensorial,
     center,
+    compute_levels,
+    emit_triangular,
+    incidence_algebra,
     is_separable,
+    parse_quiver_file,
+    parse_simplicial_file,
+    path_algebra,
     tensor_over,
     validate_triangular,
 )
@@ -287,3 +297,64 @@ class TestBuildTensorial:
         assert t.tensorial_adjacent is not None
         # (k (x) k^2) (x)_{k^2} (k^2 (x) dual) folds the middle to one copy
         assert t.block_dim(3, 1) == 1 * 2 * 2
+
+
+# ---------------------------------------------------------------------------
+# pinned structure constants
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def _path_from_file(name, f):
+    q = parse_quiver_file((DATA / name).read_text(encoding="utf-8"))
+    return path_algebra(q, compute_levels(q), f)
+
+
+def _incidence_from_file(name):
+    text = (DATA / name).read_text(encoding="utf-8")
+    return incidence_algebra(parse_simplicial_file(text), QQ)
+
+
+def _tensorial_four_levels():
+    d = FiniteDimAlgebra.dual_numbers(FP)
+    sq = FiniteDimAlgebra.product_of_fields(FP, 2)
+    k = FiniteDimAlgebra.field_algebra(FP)
+    return build_tensorial([d, sq, k, d], [free_bimodule(FP, sq, d),
+                                           thin_bimodule(FP, k, sq),
+                                           free_bimodule(FP, d, k)])
+
+
+PINNED = {
+    "path-branching4-QQ": (
+        lambda: _path_from_file("branching4.quiver", QQ),
+        "89320a0e1b86a24f6851a51933da8b5748614e7ec74c6ab7268d7b028e6d2ed3"),
+    "path-branching4-F32003": (
+        lambda: _path_from_file("branching4.quiver", GF(32003)),
+        "89320a0e1b86a24f6851a51933da8b5748614e7ec74c6ab7268d7b028e6d2ed3"),
+    "path-kronecker-QQ": (
+        lambda: _path_from_file("kronecker.quiver", QQ),
+        "7f6a5e86b0e3610a511704975a8fb7d4f388970b0031fd110c9d968c2eb01a95"),
+    "path-kronecker-F32003": (
+        lambda: _path_from_file("kronecker.quiver", GF(32003)),
+        "7f6a5e86b0e3610a511704975a8fb7d4f388970b0031fd110c9d968c2eb01a95"),
+    "incidence-triangle-boundary": (
+        lambda: _incidence_from_file("triangle_boundary.simplicial"),
+        "a12609d99d8103fa05212ca397dbb5548817cd2c684c8f146fd426e61d184aaa"),
+    "incidence-non-pure": (
+        lambda: incidence_algebra(
+            SimplicialComplex([("p", "q", "r"), ("q", "r", "s"), ("x",)]), QQ),
+        "574c3a0f08dc087c2f930124ad07b0fddfe5a925cf0d16bfab79e174a4b9c590"),
+    "tensorial-four-levels": (
+        _tensorial_four_levels,
+        "c85004ba56caaa6723d9e4c1b127f6686077dd8ccb922e82f97814ebd925b1d1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_structure(name):
+    """Every structure constant of the path, incidence and tensorial
+    builders, as the triangular file format spells them; a changed basis
+    order or coefficient that keeps the dimensions shows here."""
+    build, digest = PINNED[name]
+    text = emit_triangular(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

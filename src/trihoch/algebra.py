@@ -707,9 +707,11 @@ def build_tensorial(diag, adjacent):
     products of the given adjacent bimodules.
 
     ``adjacent[i]`` must be the ``A_{i+1}``-``A_i``-bimodule sitting at
-    ``(i+1, i)``, for i = 1..n-1.  Every block ``(j, i)`` with a wider gap
-    is presented as a quotient of the chain of plain tensor products of the
-    adjacent modules, and the compositions are the induced concatenations,
+    ``(i+1, i)``, for i = 1..n-1.  Every block with a wider gap is the left
+    fold M[j,i] = M[j,j-1] (x)_{A_{j-1}} M[j-1,i], with projection p from the
+    plain tensor product.  The compositions are the induced concatenations,
+    unfolded one level at a time: mu(y, x) = p(y (x) x) when y lies in an
+    adjacent block, and mu(p(a (x) b), x) = p(a (x) mu(b, x)) below that,
     which makes the pentagon hold by construction.
     """
     n = len(diag)
@@ -720,126 +722,52 @@ def build_tensorial(diag, adjacent):
         if m.left_alg is not diag[i] or m.right_alg is not diag[i - 1]:
             raise InputError(f"adjacent bimodule {i + 1},{i} has mismatched actions")
 
-    # chain[(j, i)] = dims of the plain tensor chain M[j,j-1] (x) .. (x) M[i+1,i]
-    def chain_dims(j, i):
-        return [adjacent[r - 1].dim for r in range(j - 1, i - 1, -1)]
-
-    # For each block: projection/section between the chain space and the
-    # quotient module.  Adjacent blocks are their own chain.
     mods = {}
-    sections = {}   # (j, i) -> list of sparse chain vectors per quotient basis
-    projections = {}
-
-    def flat(dims, tup):
-        k = 0
-        for d, t_ in zip(dims, tup):
-            k = k * d + t_
-        return k
-
+    folds = {}   # (j, i) -> (projection, section) of the fold making M[j,i]
     for gap in range(1, n):
         for i in range(1, n - gap + 1):
             j = i + gap
             if gap == 1:
-                m = adjacent[i - 1]
-                mods[(j, i)] = m
-                sections[(j, i)] = [{k: f.one} for k in range(m.dim)]
-                projections[(j, i)] = Matrix.identity(f, m.dim)
+                mods[(j, i)] = adjacent[i - 1]
                 continue
-            # quotient of M[j, j-1] (x)_k (previous quotient for (j-1, i))
-            # but with relations for every interface; realized by folding:
-            left = adjacent[j - 2]           # M[j, j-1]
-            prev = mods[(j - 1, i)]
-            folded, proj_fold = tensor_over(diag[j - 2], left, prev)
+            folded, proj = tensor_over(diag[j - 2], adjacent[j - 2],
+                                       mods[(j - 1, i)])
             folded.label = f"M[{j},{i}]"
             mods[(j, i)] = folded
-            # chain-space projection: chain(j,i) = M[j,j-1] (x) chain(j-1, i)
-            prev_proj = projections[(j - 1, i)]
-            dl = left.dim
-            dprev = prev.dim
-            chain_len = dl * prev_proj.ncols
-            entries = []
-            for col in range(chain_len):
-                y, rest = divmod(col, prev_proj.ncols)
-                # project rest through the previous projection, then fold
-                mid_vec = {}
-                for r in range(prev_proj.nrows):
-                    v = prev_proj.rows[r].get(rest)
-                    if v is not None:
-                        mid_vec[r] = v
-                acc = {}
-                for xx, cc in mid_vec.items():
-                    for q, cq in _matcol(proj_fold, y * dprev + xx):
-                        nv = f.add(acc.get(q, f.zero), f.mul(cc, cq))
-                        if nv == f.zero:
-                            acc.pop(q, None)
-                        else:
-                            acc[q] = nv
-                for q, cq in acc.items():
-                    entries.append((q, col, cq))
-            projections[(j, i)] = Matrix.from_entries(
-                f, folded.dim, chain_len, entries)
-            # section: pick any chain preimage of each quotient basis vector
-            sec_fold = _section_of(proj_fold, f)
-            prev_sec = sections[(j - 1, i)]
-            secs = []
-            for q in range(folded.dim):
-                chain_vec = {}
-                for pair_idx, c in sec_fold[q].items():
-                    y, xx = divmod(pair_idx, dprev)
-                    for chain_rest, cr in prev_sec[xx].items():
-                        k = y * (chain_len // dl) + chain_rest
-                        nv = f.add(chain_vec.get(k, f.zero), f.mul(c, cr))
-                        if nv == f.zero:
-                            chain_vec.pop(k, None)
-                        else:
-                            chain_vec[k] = nv
-                secs.append(chain_vec)
-            sections[(j, i)] = secs
+            folds[(j, i)] = (proj, _section_of(proj, f))
 
-    # compositions: concatenate sections, then project
     mus = {}
     for l in range(3, n + 1):
         for j in range(2, l):
             for i in range(1, j):
-                outer = mods[(l, j)]
-                inner = mods[(j, i)]
-                target = mods[(l, i)]
-                proj = projections[(l, i)]
-                sec_o = sections[(l, j)]
-                sec_i = sections[(j, i)]
-                inner_chain = 1
-                for d in chain_dims(j, i):
-                    inner_chain *= d
+                outer, inner = mods[(l, j)], mods[(j, i)]
+                proj = folds[(l, i)][0]
+                width = mods[(l - 1, i)].dim
+                if j < l - 1:
+                    below = mus[(l - 1, j, i)]
+                    split = mods[(l - 1, j)].dim
+                    section = folds[(l, j)][1]
                 pair = {}
                 for y in range(outer.dim):
                     for x in range(inner.dim):
-                        chain_vec = {}
-                        for ko, co in sec_o[y].items():
-                            for ki, ci in sec_i[x].items():
-                                chain_vec[ko * inner_chain + ki] = f.mul(co, ci)
-                        img = {}
-                        for k, c in chain_vec.items():
-                            for q, cq in _matcol(proj, k):
-                                nv = f.add(img.get(q, f.zero), f.mul(c, cq))
-                                if nv == f.zero:
-                                    img.pop(q, None)
-                                else:
-                                    img[q] = nv
+                        if j == l - 1:
+                            tensor = {y * width + x: f.one}
+                        else:
+                            # y = p(sum c a (x) b), read from the section
+                            tensor = {}
+                            for ab, c in section[y].items():
+                                a, b = divmod(ab, split)
+                                mu_bx = below.pair_apply(b, x)
+                                f.row_addmul(tensor, {a * width + z: v
+                                                      for z, v in mu_bx.items()}, c)
+                        img = proj.apply(tensor)
                         if img:
                             pair[(y, x)] = img
-                mus[(l, j, i)] = BimoduleMap(outer, inner, target, pair)
+                mus[(l, j, i)] = BimoduleMap(outer, inner, mods[(l, i)], pair)
 
     t = TriangularAlgebra(f, n, list(diag), mods, mus)
     t.tensorial_adjacent = list(adjacent)
     return t
-
-
-def _matcol(m, col):
-    """Entries (row, value) of one column of a row-sparse matrix."""
-    for r, row in enumerate(m.rows):
-        v = row.get(col)
-        if v is not None:
-            yield r, v
 
 
 def _section_of(projection, f):

@@ -260,10 +260,6 @@ class Matrix:
             rows.append(row)
         return cls(field, nrows, ncols, rows)
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, [{i: field.one} for i in range(n)])
-
     def entry(self, r, c):
         return self.rows[r].get(c, self.field.zero)
 

@@ -76,17 +76,6 @@ class CochainWindow:
         self.tags = tags
         self.kappa = kappa
 
-    def dim(self, l):
-        return self.dims[l] if 0 <= l < len(self.dims) else 0
-
-    def delta(self, l):
-        if l < 0 or l > self.L:
-            raise InputError(f"differential {l} is outside the built window")
-        return self.diffs[l]
-
-    def tag_vector(self, l):
-        return self.tags[l] if self.tags is not None else None
-
     def rank_of_delta(self, l):
         if l < 0:
             return 0

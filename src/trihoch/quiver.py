@@ -1,11 +1,13 @@
 """Quivers, level structures, path algebras, incidence algebras of
 simplicial complexes, and a simplicial-cochain oracle.
 
-An acyclic quiver gets a level assignment by longest path; grouping the
-vertices by level and the paths by (source level, target level) presents its
-path algebra as a triangular algebra.  A simplicial complex gives one too,
-via comparable pairs of faces graded by dimension, and its simplicial
-cohomology is computed independently as a cross-check.
+Both algebras are morphism algebras of a category whose non-identity
+morphisms raise the level of their object, and ``_morphism_algebra``
+presents such a category as a triangular algebra.  For an acyclic quiver the
+levels come from longest paths and the morphisms are paths; for a
+simplicial complex the objects are faces graded by dimension and the
+morphisms are comparable pairs, and its simplicial cohomology is computed
+independently as a cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 
 from .algebra import Bimodule, BimoduleMap, FiniteDimAlgebra, TriangularAlgebra
 from .errors import InputError
-from .exactla import Matrix, matrix_rank
+from .exactla import QQ, Matrix, matrix_rank
 
 
 class Quiver:
@@ -134,16 +136,52 @@ def enumerate_paths(q):
     return groups
 
 
+def _morphism_algebra(f, n, objects, homs, compose):
+    """Triangular morphism algebra of a category with objects on levels 1..n.
+
+    A_r is the product of fields on the level-r objects ``objects[r - 1]``.
+    ``homs[(j, i)]`` lists the (target, source, label) morphisms from level
+    i to level j, one basis vector each, acted on by the target's idempotent
+    from the left and the source's from the right.  Composable pairs map to
+    ``compose(outer, inner)``, the label of their composite.  Empty blocks
+    are left out, and so is every composition map with a missing block.
+    """
+    diag = [FiniteDimAlgebra.product_of_fields(f, len(objs), label=f"A{r}")
+            for r, objs in enumerate(objects, start=1)]
+    slot = {o: k for objs in objects for k, o in enumerate(objs)}
+    mods = {}
+    for (j, i), block in homs.items():
+        if not block:
+            continue
+        lact, ract = {}, {}
+        for k, (tgt, src, _) in enumerate(block):
+            lact[(slot[tgt], k)] = {k: f.one}
+            ract[(k, slot[src])] = {k: f.one}
+        mods[(j, i)] = Bimodule(f, len(block), diag[j - 1], diag[i - 1],
+                                lact, ract, label=f"M[{j},{i}]")
+    mus = {}
+    for l, j, i in itertools.combinations(range(n, 0, -1), 3):
+        if not all(b in mods for b in ((l, j), (j, i), (l, i))):
+            continue
+        index = {lab: k for k, (_, _, lab) in enumerate(homs[(l, i)])}
+        pair = {}
+        for y, (_, mid, outer) in enumerate(homs[(l, j)]):
+            for x, (tgt, _, inner) in enumerate(homs[(j, i)]):
+                if tgt == mid:
+                    pair[(y, x)] = {index[compose(outer, inner)]: f.one}
+        mus[(l, j, i)] = BimoduleMap(mods[(l, j)], mods[(j, i)],
+                                     mods[(l, i)], pair)
+    return TriangularAlgebra(f, n, diag, mods, mus)
+
+
 def path_algebra(q, levels, field=None):
     """The path algebra of an acyclic level quiver, in triangular form.
 
-    Level-r vertices span the r-th diagonal algebra (a product of copies of
-    k, one idempotent per vertex); paths from level r to level s span the
-    (s, r) block; composition maps concatenate paths and vanish when the
-    endpoints do not match.  The field defaults to the rationals.
+    The morphism algebra of the free category on the quiver: vertices are
+    the objects, paths from level i to level j span the (j, i) block in the
+    order of ``enumerate_paths``, and composition concatenates paths.  The
+    field defaults to the rationals.
     """
-    from .exactla import QQ
-    field = field or QQ
     if not check_acyclic(q):
         raise InputError("path algebra of a cyclic quiver is infinite-dimensional")
     for (lab, s, t) in q.arrows:
@@ -151,68 +189,18 @@ def path_algebra(q, levels, field=None):
             raise InputError(
                 f"invalid levels: arrow {lab} does not increase the level")
     n = levels.n
-    f = field
-    groups = enumerate_paths(q)
-    by_level = {r: [v for v in q.vertices if levels.level[v] == r]
-                for r in range(1, n + 1)}
-    diag = []
-    for r in range(1, n + 1):
-        a = FiniteDimAlgebra.product_of_fields(f, len(by_level[r]),
-                                               label=f"A{r}")
-        diag.append(a)
-    vslot = {}
-    for r in range(1, n + 1):
-        for k, v in enumerate(by_level[r]):
-            vslot[v] = k
+    objects = [[v for v in q.vertices if levels.level[v] == r]
+               for r in range(1, n + 1)]
+    head = {a[0]: a[2] for a in q.arrows}
 
-    arrow_by_label = {a[0]: a for a in q.arrows}
-
-    def tgt_of(path):
+    def target(path):
         src, labs = path
-        cur = src
-        for lab in labs:
-            cur = arrow_by_label[lab][2]
-        return cur
+        return head[labs[-1]] if labs else src
 
-    mods = {}
-    path_index = {}
-    for (r, s), paths in groups.items():
-        if s <= r:
-            continue
-        j, i = s, r
-        idx = {p: k for k, p in enumerate(paths)}
-        path_index[(j, i)] = idx
-        lact = {}
-        ract = {}
-        for p, k in idx.items():
-            tv = tgt_of(p)
-            lact[(vslot[tv], k)] = {k: f.one}
-            ract[(k, vslot[p[0]])] = {k: f.one}
-        mods[(j, i)] = Bimodule(f, len(paths), diag[j - 1], diag[i - 1],
-                                lact, ract, label=f"M[{j},{i}]")
-    mus = {}
-    for l in range(3, n + 1):
-        for j in range(2, l):
-            for i in range(1, j):
-                outer = mods.get((l, j))
-                inner = mods.get((j, i))
-                target = mods.get((l, i))
-                if not (outer and inner and target):
-                    continue
-                idx_o = {k: p for p, k in path_index[(l, j)].items()}
-                idx_i = {k: p for p, k in path_index[(j, i)].items()}
-                idx_t = path_index[(l, i)]
-                pair = {}
-                for y in range(outer.dim):
-                    py = idx_o[y]
-                    for x in range(inner.dim):
-                        px = idx_i[x]
-                        if tgt_of(px) != py[0]:
-                            continue
-                        comp = (px[0], px[1] + py[1])
-                        pair[(y, x)] = {idx_t[comp]: f.one}
-                mus[(l, j, i)] = BimoduleMap(outer, inner, target, pair)
-    return TriangularAlgebra(f, n, diag, mods, mus)
+    homs = {(j, i): [(target(p), p[0], p) for p in paths]
+            for (i, j), paths in enumerate_paths(q).items() if j > i}
+    return _morphism_algebra(field or QQ, n, objects, homs,
+                             lambda outer, inner: (inner[0], inner[1] + outer[1]))
 
 
 class SimplicialComplex:
@@ -255,60 +243,21 @@ class SimplicialComplex:
 def incidence_algebra(s, field=None):
     """Incidence algebra of the face poset, graded by simplex dimension.
 
-    Level r holds the (r-1)-simplices; the (s, r) block has one basis
-    vector per comparable pair (big face, small face); composition glues
-    comparable pairs and is zero otherwise.
+    The morphism algebra of the poset: level r holds the (r-1)-simplices,
+    the (j, i) block has one basis vector per comparable pair (big face,
+    small face) in sorted order, and (big, mid) composes with (mid, small)
+    to (big, small).
     """
-    from .exactla import QQ
-    f = field or QQ
     n = s.dimension + 1
-    diag = [FiniteDimAlgebra.product_of_fields(f, len(s.faces(r - 1)),
-                                               label=f"A{r}")
-            for r in range(1, n + 1)]
-    face_slot = {}
-    for d in range(n):
-        for k, fc in enumerate(s.faces(d)):
-            face_slot[fc] = k
-
-    mods = {}
-    pair_index = {}
+    objects = [s.faces(r - 1) for r in range(1, n + 1)]
+    homs = {}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            pairs = []
-            for big in s.faces(j - 1):
-                bigset = set(big)
-                for small in itertools.combinations(big, i):
-                    pairs.append((big, small))
-            pairs.sort()
-            idx = {p: k for k, p in enumerate(pairs)}
-            pair_index[(j, i)] = idx
-            lact = {}
-            ract = {}
-            for (big, small), k in idx.items():
-                lact[(face_slot[big], k)] = {k: f.one}
-                ract[(k, face_slot[small])] = {k: f.one}
-            mods[(j, i)] = Bimodule(f, len(pairs), diag[j - 1], diag[i - 1],
-                                    lact, ract, label=f"M[{j},{i}]")
-    mus = {}
-    for l in range(3, n + 1):
-        for j in range(2, l):
-            for i in range(1, j):
-                outer = mods[(l, j)]
-                inner = mods[(j, i)]
-                target = mods[(l, i)]
-                idx_o = {k: p for p, k in pair_index[(l, j)].items()}
-                idx_i = {k: p for p, k in pair_index[(j, i)].items()}
-                idx_t = pair_index[(l, i)]
-                pair = {}
-                for y in range(outer.dim):
-                    big, mid = idx_o[y]
-                    for x in range(inner.dim):
-                        mid2, small = idx_i[x]
-                        if mid2 != mid:
-                            continue
-                        pair[(y, x)] = {idx_t[(big, small)]: f.one}
-                mus[(l, j, i)] = BimoduleMap(outer, inner, target, pair)
-    return TriangularAlgebra(f, n, diag, mods, mus)
+            pairs = sorted((big, small) for big in s.faces(j - 1)
+                           for small in itertools.combinations(big, i))
+            homs[(j, i)] = [(big, small, (big, small)) for big, small in pairs]
+    return _morphism_algebra(field or QQ, n, objects, homs,
+                             lambda outer, inner: (outer[0], inner[1]))
 
 
 def simplicial_cohomology(s, max_degree):
@@ -316,7 +265,6 @@ def simplicial_cohomology(s, max_degree):
     0..max_degree, from the ordered-simplex cochain complex over the
     rationals (the same dimensions hold over any field of characteristic
     not dividing the torsion; the comparisons here involve none)."""
-    from .exactla import QQ
     f = QQ
     ranks = []
     dims = [len(s.faces(d)) for d in range(max_degree + 2)]

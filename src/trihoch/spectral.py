@@ -112,8 +112,7 @@ class SpectralPage:
     the matrix columns.
     """
 
-    __slots__ = ("r", "n", "L", "dims", "d", "reps", "reliable",
-                 "reliable_d", "_solvers")
+    __slots__ = ("r", "n", "L", "dims", "d", "reps", "_solvers")
 
     def __init__(self, r, n, L):
         self.r = r
@@ -122,12 +121,7 @@ class SpectralPage:
         self.dims = {}
         self.d = {}
         self.reps = {}
-        self.reliable = set()
-        self.reliable_d = set()
         self._solvers = {}
-
-    def dim(self, p, q):
-        return self.dims.get((p, q))
 
     def class_coords(self, p, q, vec):
         """Coordinates of a cycle's class over the cell's representatives;
@@ -184,7 +178,6 @@ def compute_page(fc, r):
         page.dims[(p, q)] = len(reps)
         page.reps[(p, q)] = reps
         page._solvers[(p, q)] = (solver, len(reps))
-        page.reliable.add((p, q))
 
     # differentials
     for (p, q) in cells:
@@ -210,7 +203,6 @@ def compute_page(fc, r):
                 if tag[0] == "r" and c != f.zero:
                     rows[tag[1]][cidx] = c
         page.d[(p, q)] = Matrix(f, tdim, len(src_reps), rows)
-        page.reliable_d.add((p, q))
     return page
 
 

@@ -119,14 +119,40 @@ class TestBimodules:
         assert m.dim == 0 and m.violations() == []
 
 
+def tensorial_chain(n, kind):
+    """An n-level tensorial algebra.  "thin" and "free" cycle the diagonal
+    through the dual numbers, k and k x k; "scaled" alternates k and the
+    dual numbers, joined by two-dimensional modules on which x moves the
+    first basis vector to 3 (left) or 2 (right) times the second, so that
+    the folds need sections with non-unit coefficients."""
+    if kind == "scaled":
+        k = FiniteDimAlgebra.field_algebra(FP)
+        d = FiniteDimAlgebra.dual_numbers(FP)
+        up = Bimodule(FP, 2, d, k, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                    (1, 0): {1: 3}},
+                      {(0, 0): {0: 1}, (1, 0): {1: 1}})
+        down = Bimodule(FP, 2, k, d, {(0, 0): {0: 1}, (0, 1): {1: 1}},
+                        {(0, 0): {0: 1}, (1, 0): {1: 1}, (0, 1): {1: 2}})
+        diag = [k, d] * n
+        return build_tensorial(diag[:n], [(up, down)[r % 2]
+                                          for r in range(n - 1)])
+    menu = [FiniteDimAlgebra.dual_numbers, FiniteDimAlgebra.field_algebra,
+            lambda f: FiniteDimAlgebra.product_of_fields(f, 2)]
+    diag = [menu[r % 3](FP) for r in range(n)]
+    adjacent = thin_bimodule if kind == "thin" else free_bimodule
+    return build_tensorial(diag, [adjacent(FP, diag[r + 1], diag[r])
+                                  for r in range(n - 1)])
+
+
 class TestCompositionMaps:
-    def test_tensorial_mu_valid(self):
-        diag = [FiniteDimAlgebra.field_algebra(FP) for _ in range(3)]
-        t = build_tensorial(diag, [thin_bimodule(FP, diag[1], diag[0]),
-                                   thin_bimodule(FP, diag[2], diag[1])])
-        mu = t.mu(3, 2, 1)
-        assert mu is not None
-        assert mu.violations() == []
+    @pytest.mark.parametrize("kind", ["thin", "free", "scaled"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tensorial_mu_valid(self, n, kind):
+        # from four levels on, mu[l,j,i] with j < l-1 unfolds through
+        # mu[l-1,j,i], and validate_triangular checks the pentagon
+        t = tensorial_chain(n, kind)
+        assert len(t.mus) == (n - 2) * (n - 1) * n // 6
+        assert all(mu.pair for mu in t.mus.values())
         assert validate_triangular(t) == []
 
     def test_perturbed_mu_detected(self):

@@ -327,12 +327,21 @@ PINNED = {
     "relative-nilpotent": (
         lambda: build_relative_complex(nilpotent_action_algebra(), L=3),
         "1cb4d8e3ea791d99c52a92f75e68eb234426a1c9d412fb2ba4cef8481f9a6726"),
+    "relative-chain4": (
+        lambda: build_relative_complex(chain_algebra(4, QQ), L=3),
+        "8ddefa1432568d14b74af200f9cc68029e0238a5fdc2cc1327670626171637cb"),
+    "relative-branching": (
+        lambda: build_relative_complex(branching_algebra(), L=3),
+        "cf723bf21f094e75f01230c4bfac8a99142dca5ebb51e3aa0eab76757f1fe667"),
     "bar-kronecker": (
         lambda: bar_oracle(kronecker_algebra(QQ), L=2),
         "5eef3a4e79ef165a1ca377f3bc7e7c61d89c60be2350a506639674d5f3edcee2"),
     "bar-nilpotent": (
         lambda: bar_oracle(nilpotent_action_algebra(), L=2),
         "c1ec0637c24bd524474454b402c13cd76f0e460657e3a9b34ca4fd4212a305b1"),
+    "bar-branching": (
+        lambda: bar_oracle(branching_algebra(), L=2),
+        "380399d4684a603849a4429b87c180501bd38940c1b3cc7b745b4689dd2af321"),
     "ext-residue-field": (
         _residue_field_ext,
         "45d731869feccc7f5d4b56db12e49614fe66b2e0d0e3f74677b8e96d19e8ebb1"),

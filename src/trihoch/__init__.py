@@ -8,7 +8,7 @@ from .exactla import (GF, QQ, EchelonSolver, Field, Matrix, PrimeField,
                       RationalField, Subspace, graded_rank, image, kernel,
                       matrix_rank, preimage, quotient_dim, rref,
                       subspace_intersect, subspace_sum)
-from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra, TBimodule,
+from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra,
                       TriangularAlgebra, assemble_total, build_tensorial,
                       center, is_separable, tensor_over, validate_triangular)
 from .quiver import (LevelAssignment, Quiver, SimplicialComplex,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .exactla import EchelonSolver, Matrix, Subspace, kernel
 
 _MAX_REPORTED = 50
@@ -124,26 +124,6 @@ class Bimodule:
     @classmethod
     def zero(cls, field, left_alg, right_alg, label=""):
         return cls(field, 0, left_alg, right_alg, {}, {}, label)
-
-    @classmethod
-    def from_matrices(cls, field, left_alg, right_alg, left_mats, right_mats,
-                      dim, label=""):
-        """Actions given as dense matrices per algebra basis element."""
-        lact = {}
-        for a, mat in enumerate(left_mats):
-            for m in range(dim):
-                col = {mm: field.of(mat[mm][m]) for mm in range(dim)
-                       if field.of(mat[mm][m]) != field.zero}
-                if col:
-                    lact[(a, m)] = col
-        ract = {}
-        for a, mat in enumerate(right_mats):
-            for m in range(dim):
-                col = {mm: field.of(mat[mm][m]) for mm in range(dim)
-                       if field.of(mat[mm][m]) != field.zero}
-                if col:
-                    ract[(m, a)] = col
-        return cls(field, dim, left_alg, right_alg, lact, ract, label)
 
     def left_basis_act(self, a, m):
         return self.lact.get((a, m), {})
@@ -328,6 +308,21 @@ class TriangularAlgebra:
     def module(self, j, i):
         return self.mods.get((j, i))
 
+    def block_mul(self, l, j, i):
+        """Product table of block (l, j) times block (j, i), for
+        l >= j >= i: (left index, right index) -> sparse vector over block
+        (l, i), all in local indices; empty when a block or map is missing."""
+        if l == j == i:
+            return self.diag[i - 1].mul
+        if l == j:
+            m = self.mods.get((j, i))
+            return m.lact if m else {}
+        if j == i:
+            m = self.mods.get((l, j))
+            return m.ract if m else {}
+        mu = self.mus.get((l, j, i))
+        return mu.pair if mu else {}
+
     def mu(self, l, j, i):
         return self.mus.get((l, j, i))
 
@@ -353,165 +348,6 @@ class TriangularAlgebra:
     def __repr__(self):
         dims = ", ".join(str(a.dim) for a in self.diag)
         return f"TriangularAlgebra(n={self.n}, diag dims [{dims}], total dim {self.total.dim})"
-
-
-class TBimodule:
-    """A bimodule over the total algebra of a triangular algebra, carried
-    in a basis adapted to the idempotent block decomposition.
-
-    ``block_of[m]`` names the block (j, i) of the m-th basis vector, so
-    e_j X e_i is the coordinate span of the vectors labeled (j, i); lact
-    and ract are action tensors indexed by total-algebra basis elements.
-    The regular bimodule X = T reuses the total multiplication table.
-    """
-
-    __slots__ = ("t", "dim", "lact", "ract", "block_of", "_members",
-                 "_lact_cache", "_ract_cache", "label")
-
-    def __init__(self, t, dim, lact, ract, block_of, label=""):
-        self.t = t
-        self.dim = dim
-        self.lact = lact
-        self.ract = ract
-        self.block_of = list(block_of)
-        if len(self.block_of) != dim:
-            raise InputError("TBimodule: one block label per basis vector required")
-        self._members = {}
-        for idx, blk in enumerate(self.block_of):
-            self._members.setdefault(blk, []).append(idx)
-        self._lact_cache = {}
-        self._ract_cache = {}
-        self.label = label
-
-    @classmethod
-    def regular(cls, t):
-        total = t.total
-        lact = total.mul
-        return cls(t, total.dim, lact, lact, t.block_of, label="T")
-
-    @classmethod
-    def from_bimodule(cls, t, bim, label=""):
-        """Adapt an arbitrary bimodule over the total algebra: slice it by
-        the diagonal idempotents e_j . e_i and re-express the actions in
-        the adapted basis."""
-        f = t.field
-        total = t.total
-        if bim.left_alg is not total or bim.right_alg is not total:
-            raise InputError("bimodule must be over the total algebra")
-        idem = {}
-        for i in range(1, t.n + 1):
-            base = t.block_offset[(i, i)]
-            idem[i] = {base + k: c for k, c in t.diag[i - 1].unit.items()}
-        new_basis = []   # sparse vectors in the old coordinates
-        block_of = []
-        for j in range(1, t.n + 1):
-            for i in range(1, t.n + 1):
-                solver = EchelonSolver(f)
-                for m in range(bim.dim):
-                    v = bim.left_apply(idem[j],
-                                       bim.right_apply({m: f.one}, idem[i]))
-                    if v and solver.add(v, m):
-                        new_basis.append(v)
-                        block_of.append((j, i))
-        if len(new_basis) != bim.dim:
-            raise InputError(
-                "idempotent slices do not decompose the bimodule; the unit "
-                "does not act as the identity")
-        # change of basis: express old coordinates in the new basis
-        solver = EchelonSolver(f)
-        for k, v in enumerate(new_basis):
-            solver.add(v, k)
-        def to_new(vec):
-            combo = solver.express(vec)
-            if combo is None:
-                raise InputError("adapted basis does not span the bimodule")
-            return combo
-        lact = {}
-        for a in range(total.dim):
-            for m, v in enumerate(new_basis):
-                img = bim.left_apply({a: f.one}, v)
-                if img:
-                    lact[(a, m)] = to_new(img)
-        ract = {}
-        for m, v in enumerate(new_basis):
-            for a in range(total.dim):
-                img = bim.right_apply(v, {a: f.one})
-                if img:
-                    ract[(m, a)] = to_new(img)
-        return cls(t, bim.dim, lact, ract, block_of, label or bim.label)
-
-    @property
-    def field(self):
-        return self.t.field
-
-    def block_dim(self, j, i):
-        return len(self._members.get((j, i), ()))
-
-    def block_members(self, j, i):
-        return self._members.get((j, i), [])
-
-    def left_block_action(self, jp, j, i):
-        """Action of T-block (jp, j) on X-block (j, i), in local indices:
-        dict (a_local, x_local) -> sparse vector over the (jp, i) block."""
-        key = (jp, j, i)
-        cached = self._lact_cache.get(key)
-        if cached is not None:
-            return cached
-        out = {}
-        src = self.block_members(j, i)
-        tgt = self.block_members(jp, i)
-        tpos = {g: k for k, g in enumerate(tgt)}
-        d = self.t.block_dim(jp, j)
-        for a_local in range(d):
-            ta = self.t.total_index(jp, j, a_local)
-            for x_local, g in enumerate(src):
-                v = self.lact.get((ta, g))
-                if not v:
-                    continue
-                loc = {}
-                for gg, c in v.items():
-                    if gg not in tpos:
-                        raise InternalInvariantError(
-                            "left action leaves its target block")
-                    loc[tpos[gg]] = c
-                out[(a_local, x_local)] = loc
-        self._lact_cache[key] = out
-        return out
-
-    def right_block_action(self, j, i, ip):
-        """Action of T-block (i, ip) on X-block (j, i) from the right:
-        dict (x_local, a_local) -> sparse vector over the (j, ip) block."""
-        key = (j, i, ip)
-        cached = self._ract_cache.get(key)
-        if cached is not None:
-            return cached
-        out = {}
-        src = self.block_members(j, i)
-        tgt = self.block_members(j, ip)
-        tpos = {g: k for k, g in enumerate(tgt)}
-        d = self.t.block_dim(i, ip)
-        for x_local, g in enumerate(src):
-            for a_local in range(d):
-                ta = self.t.total_index(i, ip, a_local)
-                v = self.ract.get((g, ta))
-                if not v:
-                    continue
-                loc = {}
-                for gg, c in v.items():
-                    if gg not in tpos:
-                        raise InternalInvariantError(
-                            "right action leaves its target block")
-                    loc[tpos[gg]] = c
-                out[(x_local, a_local)] = loc
-        self._ract_cache[key] = out
-        return out
-
-    def displacement(self, idx):
-        j, i = self.block_of[idx]
-        return j - i
-
-    def __repr__(self):
-        return f"TBimodule({self.label or '?'}, dim {self.dim})"
 
 
 def validate_triangular(t):
@@ -569,8 +405,8 @@ def assemble_total(t):
     """Fill in the total algebra of ``t`` and return it.
 
     The basis is the disjoint union of the block bases, blocks in row-major
-    order; products follow block-matrix multiplication, using the diagonal
-    algebras, the module actions, or the composition maps as appropriate.
+    order; products follow block-matrix multiplication, block by block
+    from ``TriangularAlgebra.block_mul``, with keys in basis order.
     """
     f = t.field
     offset = {}
@@ -584,48 +420,23 @@ def assemble_total(t):
     dim = pos
 
     mul = {}
-    for u in range(dim):
-        (j1, i1), a = _block_local(t, u, offset, block_of)
-        for v in range(dim):
-            (j2, i2), b = _block_local(t, v, offset, block_of)
-            if i1 != j2:
-                continue
-            prod = _block_product(t, j1, i1, a, j2, i2, b)
-            if prod:
-                tgt = offset[(j1, i2)]
-                mul[(u, v)] = {tgt + k: c for k, c in prod.items()}
+    for (l, j) in t.blocks():
+        for i in range(1, j + 1):
+            left, right, tgt = offset[(l, j)], offset[(j, i)], offset[(l, i)]
+            for (a, b), prod in t.block_mul(l, j, i).items():
+                if prod:
+                    mul[(left + a, right + b)] = {tgt + k: c
+                                                  for k, c in prod.items()}
     unit = {}
     for i in range(1, t.n + 1):
         base = offset[(i, i)]
         for k, c in t.diag[i - 1].unit.items():
             unit[base + k] = c
-    t.total = FiniteDimAlgebra(f, dim, mul, unit, label="T")
+    t.total = FiniteDimAlgebra(f, dim, dict(sorted(mul.items())), unit,
+                               label="T")
     t.block_of = block_of
     t.block_offset = offset
     return t.total
-
-
-def _block_local(t, idx, offset, block_of):
-    blk = block_of[idx]
-    return blk, idx - offset[blk]
-
-
-def _block_product(t, j1, i1, a, j2, i2, b):
-    """Sparse product of basis elt a of block (j1,i1) with b of (j2,i2).
-
-    Assumes i1 == j2; the result lives in block (j1, i2).
-    """
-    f = t.field
-    if j1 == i1 and j2 == i2:
-        return t.diag[i1 - 1].basis_product(a, b)
-    if j1 == i1:
-        m = t.mods.get((j2, i2))
-        return m.left_basis_act(a, b) if m else {}
-    if j2 == i2:
-        m = t.mods.get((j1, i1))
-        return m.right_basis_act(a, b) if m else {}
-    mu = t.mus.get((j1, i1, i2))
-    return mu.pair_apply(a, b) if mu else {}
 
 
 def tensor_over(mid, m, n):

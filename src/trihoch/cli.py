@@ -386,7 +386,7 @@ def _hochschild_section(hh, L, emit):
 
 
 def _e1_section(t, L, emit):
-    rep = e1_structure_report(t, None, L)
+    rep = e1_structure_report(t, L)
     hyp = "detected" if rep["projective_hypothesis"] else "not-detected"
     lines = []
     if emit == "tsv":
@@ -446,7 +446,7 @@ def _oracle_section(t, hh, L, budget, emit):
 
 
 def _degeneration_section(t, L, emit):
-    rep = check_degeneration_A2k(t, None, L)
+    rep = check_degeneration_A2k(t, L)
     if rep["a2_one_dimensional"] and not rep["d2_zero"]:
         raise InternalInvariantError(
             "second-page differential did not vanish for a tensorial "
@@ -480,7 +480,7 @@ def run_job(job):
     L = job.max_degree
     needs_window = any(r in job.reports
                        for r in ("pages", "hochschild", "oracle-check"))
-    fc = build_filtered(t, None, L) if needs_window else None
+    fc = build_filtered(t, L) if needs_window else None
     hh = cohomology_dims(fc.window) if fc is not None else None
 
     sections = []

@@ -260,9 +260,6 @@ class Matrix:
             rows.append(row)
         return cls(field, nrows, ncols, rows)
 
-    def entry(self, r, c):
-        return self.rows[r].get(c, self.field.zero)
-
     def nnz(self):
         return sum(len(r) for r in self.rows)
 
@@ -304,10 +301,6 @@ class Matrix:
         for row in self.rows:
             rows.append({pos[c]: v for c, v in row.items() if c in pos})
         return Matrix(self.field, self.nrows, len(indices), rows)
-
-    def to_dense(self):
-        z = self.field.zero
-        return [[row.get(c, z) for c in range(self.ncols)] for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .algebra import TBimodule
+from .algebra import Bimodule
 from .errors import BudgetExceeded, InputError, InternalInvariantError
 from .exactla import Matrix, graded_rank, matrix_rank
 from .trajectory import (Jump, Stay, Trajectory, TrajectoryBasis,
@@ -212,36 +212,25 @@ def _cell_key(tau):
 
 
 def _merge_move(t, later, earlier):
-    """Contraction data for the adjacent component pair (later, earlier)
-    of a nonzero cell, so both blocks exist: the merged move and the
-    pair-product table (b_later, b_earlier) -> sparse vector over the
-    merged block's basis."""
-    if not later.is_jump and not earlier.is_jump:
-        return Stay(later.vertex), t.diag[later.vertex - 1].mul
-    if not later.is_jump:
-        return (Jump(earlier.source, earlier.target),
-                t.module(earlier.target, earlier.source).lact)
-    if not earlier.is_jump:
-        return (Jump(later.source, later.target),
-                t.module(later.target, later.source).ract)
-    mu = t.mu(later.target, later.source, earlier.source)
-    return Jump(earlier.source, later.target), mu.pair if mu else {}
+    """Contraction data for the adjacent component pair (later, earlier):
+    the merged move and the product table of their blocks."""
+    lo, hi = earlier.source, later.target
+    merged = Stay(lo) if lo == hi else Jump(lo, hi)
+    return merged, t.block_mul(hi, later.source, lo)
 
 
-def build_relative_complex(t, x=None, L=4):
+def build_relative_complex(t, L=4):
     """The cochain complex of the triangular algebra relative to its
-    diagonal, through degree L+1, with coefficients in a block-adapted
-    bimodule (default: the algebra itself).
+    diagonal, through degree L+1, with coefficients in the algebra itself,
+    so its cohomology is HH*(T, T).
 
-    Degree 0 is the sum of the diagonal coefficient blocks; degree l >= 1
-    splits over degree-l trajectories tau into Hom(M_tau, X-block from
-    source to target).  Every basis vector is tagged by the jump count of
-    its trajectory, and the differential can only keep or raise the tag.
+    Degree 0 is the sum of the diagonal blocks; degree l >= 1 splits over
+    degree-l trajectories tau into Hom(M_tau, block of T from source to
+    target).  Every basis vector is tagged by the jump count of its
+    trajectory, and the differential can only keep or raise the tag.
     """
-    if x is None:
-        x = TBimodule.regular(t)
     layout = [_layout((_cell_key(tau), TrajectoryBasis.over(t, tau).slot_dims,
-                       x.block_dim(tau.target, tau.source), tau.length)
+                       t.block_dim(tau.target, tau.source), tau.length)
                       for tau in enumerate_trajectories(t.n, l))
               for l in range(L + 2)]
 
@@ -254,10 +243,10 @@ def build_relative_complex(t, x=None, L=4):
             contract.append((table, _cell_key(Trajectory(
                 comps[:s] + (merged,) + comps[s + 2:], I))))
         mid = comps[-1].target
-        return ((x.left_block_action(J, comps[0].source, I),
+        return ((t.block_mul(J, comps[0].source, I),
                  _cell_key(Trajectory(comps[1:], I))),
                 contract,
-                (x.right_block_action(J, mid, I),
+                (t.block_mul(J, mid, I),
                  _cell_key(Trajectory(comps[:-1], mid))))
 
     return _word_window(t.field, L, layout, terms, tagged=True)
@@ -329,15 +318,14 @@ def _check_grading(m, row_keys, col_keys):
                     "graded differential has an entry crossing grades")
 
 
-def bar_oracle(t, x=None, L=3, budget=DEFAULT_ORACLE_BUDGET):
-    """Bar complex of the assembled total algebra with the block
-    displacement grading supplied automatically."""
-    if x is None:
-        x = TBimodule.regular(t)
-    tweight = [j - i for (j, i) in t.block_of]
-    xweight = [j - i for (j, i) in x.block_of]
-    return build_bar_complex(t.total, x, L, budget=budget,
-                             grading=(tweight, xweight))
+def bar_oracle(t, L=3, budget=DEFAULT_ORACLE_BUDGET):
+    """Bar complex of the assembled total algebra T with coefficients in
+    T, graded by block displacement j - i on both sides."""
+    total = t.total
+    x = Bimodule(t.field, total.dim, total, total, total.mul, total.mul)
+    weight = [j - i for (j, i) in t.block_of]
+    return build_bar_complex(total, x, L, budget=budget,
+                             grading=(weight, weight))
 
 
 # ---------------------------------------------------------------------------

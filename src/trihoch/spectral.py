@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import Bimodule, TBimodule, is_separable, tensor_over
+from .algebra import Bimodule, is_separable, tensor_over
 from .errors import InputError, InternalInvariantError
 from .exactla import (EchelonSolver, Matrix, Subspace, kernel, matrix_rank,
                       subspace_sum)
@@ -98,9 +98,9 @@ class FilteredComplex:
                             self.boundary_space(p, r, l))
 
 
-def build_filtered(t, x=None, L=4):
+def build_filtered(t, L=4):
     """Relative complex of t wrapped with its jump-count filtration."""
-    return FilteredComplex(build_relative_complex(t, x, L), t.n)
+    return FilteredComplex(build_relative_complex(t, L), t.n)
 
 
 class SpectralPage:
@@ -210,13 +210,10 @@ def compute_page(fc, r):
 # labeled E1 structure
 
 
-def x_block_bimodule(t, x, j, i):
-    """The (j, i) coefficient block as a bimodule over (A_j, A_i)."""
-    f = t.field
-    d = x.block_dim(j, i)
-    lact = dict(x.left_block_action(j, j, i))
-    ract = dict(x.right_block_action(j, i, i))
-    return Bimodule(f, d, t.diag[j - 1], t.diag[i - 1], lact, ract,
+def x_block_bimodule(t, j, i):
+    """The (j, i) coefficient block of T as a bimodule over (A_j, A_i)."""
+    return Bimodule(t.field, t.block_dim(j, i), t.diag[j - 1], t.diag[i - 1],
+                    t.block_mul(j, j, i), t.block_mul(j, i, i),
                     label=f"X[{j},{i}]")
 
 
@@ -236,7 +233,7 @@ def chain_module(t, chain):
     return cur
 
 
-def e1_structure_report(t, x=None, L=4):
+def e1_structure_report(t, L=4):
     """Compute every labeled summand of the first page independently
     (bar complexes of the diagonal algebras for column 0, reduced Ext
     complexes of chain tensor products for the higher columns), compare
@@ -245,10 +242,8 @@ def e1_structure_report(t, x=None, L=4):
     Also reports whether the projectivity hypothesis behind the labeled
     description was detected (all strictly intermediate diagonal algebras
     separable)."""
-    if x is None:
-        x = TBimodule.regular(t)
     n = t.n
-    fc = build_filtered(t, x, L)
+    fc = build_filtered(t, L)
     page = compute_page(fc, 1)
 
     hypothesis = all(is_separable(t.diag[i - 1]) for i in range(2, n))
@@ -261,7 +256,7 @@ def e1_structure_report(t, x=None, L=4):
         if p == 0:
             summands = []
             for i in range(1, n + 1):
-                blk = x_block_bimodule(t, x, i, i)
+                blk = x_block_bimodule(t, i, i)
                 bw = build_bar_complex(t.diag[i - 1], blk, ext_window)
                 dims = cohomology_dims(bw)
                 summands.append((f"H(A{i})", dims))
@@ -269,7 +264,7 @@ def e1_structure_report(t, x=None, L=4):
             summands = []
             for chain in combinations(range(1, n + 1), p + 1):
                 mod = chain_module(t, chain)
-                blk = x_block_bimodule(t, x, chain[-1], chain[0])
+                blk = x_block_bimodule(t, chain[-1], chain[0])
                 ew = build_ext_complex(mod, blk, ext_window)
                 dims = cohomology_dims(ew)
                 label = "Ext(" + "(x)".join(
@@ -317,7 +312,7 @@ def _stays(v, count):
     return tuple(Stay(v) for _ in range(count))
 
 
-def cup_d1_general(t, tau, f, window, x=None):
+def cup_d1_general(t, tau, f, window):
     """The displayed first-differential sum for a cochain supported on a
     single cell: left cups with every identity above the trajectory's
     top level, right cups (with sign (-1)^(degree+1)) with every identity
@@ -328,8 +323,6 @@ def cup_d1_general(t, tau, f, window, x=None):
     supported on the cell of ``tau``; the result is a sparse vector over
     degree l+1, supported on jump-count tau.length + 1.
     """
-    if x is None:
-        x = TBimodule.regular(t)
     fld = t.field
     l = tau.degree
     n = t.n
@@ -359,7 +352,7 @@ def cup_d1_general(t, tau, f, window, x=None):
         if rc is None:
             continue
         tcell = rc[0]
-        act = x.left_block_action(w_lev, top, botm)
+        act = t.block_mul(w_lev, top, botm)
         jdim = t.block_dim(w_lev, top)
         for mflat in range(basis.dim):
             for xi in range(xdim):
@@ -368,17 +361,10 @@ def cup_d1_general(t, tau, f, window, x=None):
                     continue
                 for m in range(jdim):
                     vec = act.get((m, xi))
-                    if not vec:
-                        continue
-                    tflat = m * basis.dim + mflat
-                    base = tcell.offset + tflat * tcell.xdim
-                    for xip, a in vec.items():
-                        k = base + xip
-                        nv = fld.add(out.get(k, fld.zero), fld.mul(c, a))
-                        if nv == fld.zero:
-                            out.pop(k, None)
-                        else:
-                            out[k] = nv
+                    if vec:
+                        base = tcell.offset + (m * basis.dim + mflat) * tcell.xdim
+                        fld.row_addmul(out, {base + xip: a
+                                             for xip, a in vec.items()}, c)
 
     # right cups: append a jump below the bottom level, sign (-1)^(l+1)
     sign = fld.one if (l + 1) % 2 == 0 else fld.neg(fld.one)
@@ -388,7 +374,7 @@ def cup_d1_general(t, tau, f, window, x=None):
         if rc is None:
             continue
         tcell = rc[0]
-        act = x.right_block_action(top, botm, k0)
+        act = t.block_mul(top, botm, k0)
         jdim = t.block_dim(botm, k0)
         for mflat in range(basis.dim):
             for xi in range(xdim):
@@ -397,29 +383,23 @@ def cup_d1_general(t, tau, f, window, x=None):
                     continue
                 for m in range(jdim):
                     vec = act.get((xi, m))
-                    if not vec:
-                        continue
-                    tflat = mflat * jdim + m
-                    base = tcell.offset + tflat * tcell.xdim
-                    cc = fld.mul(sign, c)
-                    for xip, a in vec.items():
-                        k = base + xip
-                        nv = fld.add(out.get(k, fld.zero), fld.mul(cc, a))
-                        if nv == fld.zero:
-                            out.pop(k, None)
-                        else:
-                            out[k] = nv
+                    if vec:
+                        base = tcell.offset + (mflat * jdim + m) * tcell.xdim
+                        fld.row_addmul(out, {base + xip: a
+                                             for xip, a in vec.items()},
+                                       fld.mul(sign, c))
 
     # middle insertions: split each jump through every strictly
-    # intermediate level; the sign is the slot position of the new pair
+    # intermediate level by its composition map; the sign is the slot
+    # position of the new pair
     comps = tau.components
     for s, move in enumerate(comps):
         if not move.is_jump:
             continue
         ki, kip = move.source, move.target
         for alpha in range(ki + 1, kip):
-            mu = t.mu(kip, alpha, ki)
-            if mu is None:
+            table = t.block_mul(kip, alpha, ki)
+            if not table:
                 continue
             new_comps = (comps[:s] + (Jump(alpha, kip), Jump(ki, alpha))
                          + comps[s + 1:])
@@ -429,34 +409,21 @@ def cup_d1_general(t, tau, f, window, x=None):
                 continue
             tcell, tbasis = rc
             sg = fld.one if (s + 1) % 2 == 0 else fld.neg(fld.one)
-            d_up = t.block_dim(kip, alpha)
-            d_dn = t.block_dim(alpha, ki)
             for tup in tbasis.tuples():
-                y, z = tup[s], tup[s + 1]
-                prod = mu.pair_apply(y, z)
+                prod = table.get((tup[s], tup[s + 1]))
                 if not prod:
                     continue
-                tflat = tbasis.flat_index(tup)
-                base = tcell.offset + tflat * tcell.xdim
-                src_pre = tup[:s]
-                src_post = tup[s + 2:]
+                base = tcell.offset + tbasis.flat_index(tup) * tcell.xdim
                 for m_merge, a in prod.items():
-                    mflat = basis.flat_index(src_pre + (m_merge,) + src_post)
-                    for xi in range(xdim):
-                        c = f_entry(mflat, xi)
-                        if c == fld.zero:
-                            continue
-                        k = base + xi
-                        nv = fld.add(out.get(k, fld.zero),
-                                     fld.mul(fld.mul(sg, a), c))
-                        if nv == fld.zero:
-                            out.pop(k, None)
-                        else:
-                            out[k] = nv
+                    src = lo + basis.flat_index(
+                        tup[:s] + (m_merge,) + tup[s + 2:]) * xdim
+                    fld.row_addmul(out, {base + xi: f[src + xi]
+                                         for xi in range(xdim) if src + xi in f},
+                                   fld.mul(sg, a))
     return out
 
 
-def cup_d1_n3(t, f, g, h, l, window, x=None):
+def cup_d1_n3(t, f, g, h, l, window):
     """The three-level cup-product display for the first differential on
     the column-0 summands: identities of the three gap blocks cupped on
     the left of (f, g, h) and on the right with sign (-1)^(l+1).
@@ -469,12 +436,10 @@ def cup_d1_n3(t, f, g, h, l, window, x=None):
     """
     if t.n != 3:
         raise InputError("this display is specific to three levels")
-    if x is None:
-        x = TBimodule.regular(t)
     fld = t.field
 
     for i, fi in ((1, f), (2, g), (3, h)):
-        blk = x_block_bimodule(t, x, i, i)
+        blk = x_block_bimodule(t, i, i)
         bw = build_bar_complex(t.diag[i - 1], blk, l)
         img = bw.diffs[l].apply(fi)
         if img:
@@ -493,15 +458,8 @@ def cup_d1_n3(t, f, g, h, l, window, x=None):
                 raise InputError(
                     f"window is missing the degree-{l} stay cell at level {i}")
             continue
-        cell, basis = rc
-        emb = {cell.offset + k: c for k, c in fi.items()}
-        part = cup_d1_general(t, tau, emb, window, x)
-        for k, c in part.items():
-            nv = fld.add(out.get(k, fld.zero), c)
-            if nv == fld.zero:
-                out.pop(k, None)
-            else:
-                out[k] = nv
+        emb = {rc[0].offset + k: c for k, c in fi.items()}
+        fld.row_addmul(out, cup_d1_general(t, tau, emb, window), fld.one)
     return out
 
 
@@ -527,7 +485,7 @@ def _is_tensorial_3(t):
     return (matrix_rank(mu.matrix) == d31 and quotient.dim == d31)
 
 
-def check_degeneration_A2k(t, x=None, L=4):
+def check_degeneration_A2k(t, L=4):
     """Degeneration checks for a tensorial three-level algebra.
 
     When the middle algebra is one-dimensional, asserts that the second
@@ -545,10 +503,7 @@ def check_degeneration_A2k(t, x=None, L=4):
         raise InputError(
             "degeneration check requires a tensorial algebra: the wide "
             "block must be the balanced tensor product of the adjacent ones")
-    if x is None:
-        x = TBimodule.regular(t)
-    fld = t.field
-    fc = build_filtered(t, x, L)
+    fc = build_filtered(t, L)
     w = fc.window
     a2_is_field = (t.diag[1].dim == 1)
 
@@ -567,8 +522,9 @@ def check_degeneration_A2k(t, x=None, L=4):
         report["d2_zero"] = zero
 
     # explicit second-differential vanishing for the outer summands
+    solvers = {}   # degree -> correction solver, shared by its classes
     for lvl in (1, 3):
-        blk = x_block_bimodule(t, x, lvl, lvl)
+        blk = x_block_bimodule(t, lvl, lvl)
         bw = build_bar_complex(t.diag[lvl - 1], blk, L - 1)
         for l in range(1, L):
             cocycles = kernel(bw.diffs[l])
@@ -580,9 +536,11 @@ def check_degeneration_A2k(t, x=None, L=4):
             if rc is None:
                 continue
             cell, _ = rc
+            if l not in solvers:
+                solvers[l] = _correction_solver(fc, l)
             for row in cocycles.rows:
                 emb = {cell.offset + k: c for k, c in row.items()}
-                outcome = _d2_class_vanishes(fc, emb, l)
+                outcome = _d2_class_vanishes(fc, emb, l, solvers[l])
                 if outcome is None:
                     report["nonsurviving_skipped"] += 1
                     continue
@@ -592,40 +550,42 @@ def check_degeneration_A2k(t, x=None, L=4):
     return report
 
 
-def _d2_class_vanishes(fc, vec, l):
+def _correction_solver(fc, l):
+    """Solver fed delta of every basis vector of F^1 C^l (tagged ("w", c))
+    and the unit vectors of F^2 C^(l+1) (tagged ("f2", k)).  It depends on
+    the degree only, and ``express`` leaves it unchanged, so one serves
+    every class of that degree."""
+    w = fc.window
+    fld = w.field
+    delta = w.diffs[l]
+    solver = EchelonSolver(fld)
+    for c in fc.members(l, 1):
+        solver.add(delta.apply({c: fld.one}), ("w", c))
+    for k in fc.members(l + 1, 2):
+        solver.add({k: fld.one}, ("f2", k))
+    return solver
+
+
+def _d2_class_vanishes(fc, vec, l, solver):
     """For a column-0 cocycle embedding with vanishing column-0 boundary:
     None if its first-page class does not survive to page 2; otherwise
     whether its second-differential class vanishes.
 
-    Solves for a column->=1 correction making the boundary land two
-    columns up, then tests membership in the page-2 boundary denominator.
+    Solves, through the degree's correction solver, for a column->=1
+    correction making the boundary land two columns up, then tests
+    membership in the page-2 boundary denominator.
     """
     w = fc.window
     fld = w.field
     delta = w.diffs[l]
-    image = delta.apply(vec)
     # d1 class must vanish: image = delta(correction) + (tag >= 2 rest)
-    solver = EchelonSolver(fld)
-    for c in fc.members(l, 1):
-        col = delta.apply({c: fld.one})
-        solver.add(col, ("w", c))
-    for k in fc.members(l + 1, 2):
-        solver.add({k: fld.one}, ("f2", k))
-    combo = solver.express(image)
+    combo = solver.express(delta.apply(vec))
     if combo is None:
         return None
-    corr = {}
-    for tag, c in combo.items():
-        if tag[0] == "w":
-            corr[tag[1]] = c
+    corr = {tag[1]: c for tag, c in combo.items() if tag[0] == "w"}
     # g = delta(vec - corr) lands in F^2; its page-2 class must vanish
     diff = dict(vec)
-    for k, c in corr.items():
-        nv = fld.sub(diff.get(k, fld.zero), c)
-        if nv == fld.zero:
-            diff.pop(k, None)
-        else:
-            diff[k] = nv
+    fld.row_addmul(diff, corr, fld.neg(fld.one))
     g = delta.apply(diff)
     for k in g:
         if w.tags[l + 1][k] < 2:

@@ -13,7 +13,6 @@ from trihoch import (
     BimoduleMap,
     FiniteDimAlgebra,
     InputError,
-    TBimodule,
     TriangularAlgebra,
     SimplicialComplex,
     build_tensorial,
@@ -31,6 +30,7 @@ from trihoch import (
 
 from instances import (
     FP,
+    chain_algebra,
     free_bimodule,
     kronecker_algebra,
     nilpotent_action_algebra,
@@ -207,6 +207,24 @@ class TestTriangularAssembly:
         assert t.blocks() == [(1, 1), (2, 1), (2, 2)]
         assert t.block_dim(2, 1) == 2 and t.block_dim(1, 2) == 0
 
+    def test_block_mul_names_each_block_table(self):
+        t = chain_algebra(3, QQ)
+        assert t.block_mul(2, 2, 2) is t.diag[1].mul
+        assert t.block_mul(3, 3, 1) is t.module(3, 1).lact
+        assert t.block_mul(3, 1, 1) is t.module(3, 1).ract
+        assert t.block_mul(3, 2, 1) is t.mu(3, 2, 1).pair
+        assert t.block_mul(3, 2, 1)
+
+    def test_block_mul_of_missing_block_is_empty(self):
+        diag = [FiniteDimAlgebra.field_algebra(FP) for _ in range(3)]
+        mods = {(j, i): thin_bimodule(FP, diag[j - 1], diag[i - 1])
+                for (j, i) in ((2, 1), (3, 2), (3, 1))}
+        no_mu = TriangularAlgebra(FP, 3, diag, mods, {})
+        assert no_mu.block_mul(3, 2, 1) == {}
+        no_module = TriangularAlgebra(FP, 2, diag[:2], {}, {})
+        assert no_module.block_mul(2, 2, 1) == {}
+        assert no_module.block_mul(2, 1, 1) == {}
+
     def test_total_is_block_triangular(self):
         t = nilpotent_action_algebra()
         # products never move mass toward a shallower displacement
@@ -217,39 +235,6 @@ class TestTriangularAssembly:
                 for w in t.total.basis_product(u, v):
                     (jw, iw), _ = t.total_block(w)
                     assert jw - iw >= max(ju - iu, jv - iv)
-
-
-class TestTBimodule:
-    def test_regular_matches_blocks(self):
-        t = nilpotent_action_algebra()
-        x = TBimodule.regular(t)
-        assert x.dim == t.total.dim
-        for (j, i) in t.blocks():
-            assert x.block_dim(j, i) == t.block_dim(j, i)
-
-    def test_from_bimodule_recovers_regular_blocks(self):
-        t = nilpotent_action_algebra()
-        tot = t.total
-        lact, ract = {}, {}
-        for a in range(tot.dim):
-            for m in range(tot.dim):
-                col = tot.basis_product(a, m)
-                if col:
-                    lact[(a, m)] = col
-                col = tot.basis_product(m, a)
-                if col:
-                    ract[(m, a)] = col
-        reg = Bimodule(FP, tot.dim, tot, tot, lact, ract)
-        assert reg.violations() == []
-        x = TBimodule.from_bimodule(t, reg)
-        assert x.dim == tot.dim
-        for (j, i) in t.blocks():
-            assert x.block_dim(j, i) == t.block_dim(j, i)
-
-    def test_from_bimodule_rejects_block_module(self):
-        t = nilpotent_action_algebra()
-        with pytest.raises(InputError):
-            TBimodule.from_bimodule(t, t.module(2, 1))
 
 
 class TestTensorOver:

@@ -16,7 +16,6 @@ from trihoch import (
     FiniteDimAlgebra,
     InputError,
     Matrix,
-    TBimodule,
     TriangularAlgebra,
     bar_budget_estimate,
     bar_oracle,
@@ -115,13 +114,6 @@ class TestRelativeComplex:
                              for j in range(1, n + 1)
                              for i in range(1, j + 1))
                 assert w.dims[l] == expect
-
-    def test_explicit_regular_coefficients_match_default(self):
-        t = nilpotent_action_algebra()
-        a = build_relative_complex(t, L=2)
-        b = build_relative_complex(t, TBimodule.regular(t), L=2)
-        assert a.dims == b.dims
-        assert cohomology_dims(a) == cohomology_dims(b)
 
 
 class TestBarOracle:

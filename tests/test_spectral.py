@@ -9,7 +9,6 @@ from trihoch import (
     BimoduleMap,
     FiniteDimAlgebra,
     InputError,
-    TBimodule,
     Trajectory,
     TriangularAlgebra,
     Stay,
@@ -261,7 +260,7 @@ class TestCupProducts:
         t = nilpotent_action_algebra()
         fc = build_filtered(t, L=3)
         w = fc.window
-        blk = x_block_bimodule(t, TBimodule.regular(t), 1, 1)
+        blk = x_block_bimodule(t, 1, 1)
         bw = build_bar_complex(t.diag[0], blk, 1)
         deriv = {3: FP.one}  # x -> x
         assert bw.diffs[1].apply(deriv) == {}
@@ -344,8 +343,7 @@ class TestDegeneration:
 class TestBlockHelpers:
     def test_x_block_extraction(self, branching):
         t, _ = branching
-        x = TBimodule.regular(t)
-        blk = x_block_bimodule(t, x, 3, 1)
+        blk = x_block_bimodule(t, 3, 1)
         assert blk.dim == t.block_dim(3, 1) == 4
         assert blk.left_alg is t.diag[2]
         assert blk.right_alg is t.diag[0]

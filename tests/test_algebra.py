@@ -197,6 +197,24 @@ class TestTriangularAssembly:
         msgs = validate_triangular(t)
         assert any("do not match the diagonal" in s for s in msgs)
 
+    @pytest.mark.parametrize("perturb", [
+        pytest.param(lambda t: t.diag[1].mul.update({(0, 0): {0: 1, 1: 1}}),
+                     id="diag-mul"),
+        pytest.param(lambda t: t.diag[1].unit.update({1: 2}), id="unit"),
+        pytest.param(lambda t: t.module(2, 1).lact.update({(0, 0): {0: 2}}),
+                     id="lact"),
+        pytest.param(lambda t: t.module(2, 1).ract.update({(0, 0): {0: 2}}),
+                     id="ract"),
+        pytest.param(lambda t: _scale(t.mu(4, 3, 1).pair, 2, keys=1),
+                     id="mu-entry"),
+        pytest.param(lambda t: _scale(t.mu(3, 2, 1).pair, 2), id="mu-scaled"),
+    ])
+    def test_single_perturbation_detected(self, perturb):
+        t = _tensorial_four_levels()
+        assert validate_triangular(t) == []
+        perturb(t)
+        assert validate_triangular(t) != []
+
     def test_total_assembly(self):
         t = nilpotent_action_algebra()
         assert t.total.dim == 5
@@ -324,6 +342,13 @@ def _path_from_file(name, f):
 def _incidence_from_file(name):
     text = (DATA / name).read_text(encoding="utf-8")
     return incidence_algebra(parse_simplicial_file(text), QQ)
+
+
+def _scale(pair, c, keys=None):
+    """Multiply the images of the first ``keys`` pairs (all by default) of a
+    composition table by c, in place."""
+    for key in sorted(pair)[:keys]:
+        pair[key] = {k: FP.mul(v, FP.of(c)) for k, v in pair[key].items()}
 
 
 def _tensorial_four_levels():

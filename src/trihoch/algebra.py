@@ -7,8 +7,10 @@ below it, and composition maps ``mu[l,j,i] : M[l,j] (x) M[j,i] -> M[l,i]``
 satisfying the associativity pentagon.  ``assemble_total`` realizes the whole
 thing as one finite-dimensional algebra with block-matrix multiplication.
 
-Everything is presented by sparse structure constants over an exact field;
-validation checks the axioms exhaustively over basis tuples.
+Everything is presented by sparse structure constants over an exact field.
+Validation treats T as one algebra: it checks units and associativity
+exhaustively over basis tuples of every composable block triple
+(m,l)(l,j)(j,i), every product read through ``TriangularAlgebra.block_mul``.
 """
 
 from __future__ import annotations
@@ -59,38 +61,11 @@ class FiniteDimAlgebra:
     def basis_product(self, i, j):
         return self.mul.get((i, j), {})
 
-    def multiply(self, u, v):
-        """Product of two coefficient vectors."""
-        f = self.field
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                prod = self.mul.get((i, j))
-                if prod:
-                    f.row_addmul(out, prod, f.mul(a, b))
-        return out
-
     def violations(self):
-        """Messages for every broken algebra axiom (empty list iff valid)."""
-        f = self.field
-        out = []
-        for i in range(self.dim):
-            got = self.multiply(self.unit, {i: f.one})
-            if got != {i: f.one}:
-                out.append(f"{self.label or 'algebra'}: 1*b{i} != b{i}")
-            got = self.multiply({i: f.one}, self.unit)
-            if got != {i: f.one}:
-                out.append(f"{self.label or 'algebra'}: b{i}*1 != b{i}")
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            left = self.multiply(self.basis_product(i, j), {k: f.one})
-            right = self.multiply({i: f.one}, self.basis_product(j, k))
-            if left != right:
-                out.append(
-                    f"{self.label or 'algebra'}: associativity fails at "
-                    f"({i},{j},{k})")
-                if len(out) > _MAX_REPORTED:
-                    return out
-        return out
+        """Messages for every broken algebra axiom (empty list iff valid):
+        the check of ``validate_triangular`` on the one-level algebra."""
+        return validate_triangular(TriangularAlgebra(self.field, 1, [self],
+                                                     {}, {}))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteDimAlgebra):
@@ -131,57 +106,6 @@ class Bimodule:
     def right_basis_act(self, m, a):
         return self.ract.get((m, a), {})
 
-    def left_apply(self, avec, mvec):
-        f = self.field
-        out = {}
-        for a, ca in avec.items():
-            for m, cm in mvec.items():
-                v = self.lact.get((a, m))
-                if v:
-                    f.row_addmul(out, v, f.mul(ca, cm))
-        return out
-
-    def right_apply(self, mvec, avec):
-        f = self.field
-        out = {}
-        for m, cm in mvec.items():
-            for a, ca in avec.items():
-                v = self.ract.get((m, a))
-                if v:
-                    f.row_addmul(out, v, f.mul(cm, ca))
-        return out
-
-    def violations(self):
-        f = self.field
-        out = []
-        name = self.label or "bimodule"
-        B, A = self.left_alg, self.right_alg
-        for m in range(self.dim):
-            e = {m: f.one}
-            if self.left_apply(B.unit, e) != e:
-                out.append(f"{name}: left unit fails at m{m}")
-            if self.right_apply(e, A.unit) != e:
-                out.append(f"{name}: right unit fails at m{m}")
-        for a, b, m in itertools.product(range(B.dim), range(B.dim),
-                                         range(self.dim)):
-            lhs = self.left_apply({a: f.one}, self.left_basis_act(b, m))
-            rhs = self.left_apply(B.basis_product(a, b), {m: f.one})
-            if lhs != rhs:
-                out.append(f"{name}: left action not associative at ({a},{b},m{m})")
-        for m, a, b in itertools.product(range(self.dim), range(A.dim),
-                                         range(A.dim)):
-            lhs = self.right_apply(self.right_basis_act(m, a), {b: f.one})
-            rhs = self.right_apply({m: f.one}, A.basis_product(a, b))
-            if lhs != rhs:
-                out.append(f"{name}: right action not associative at (m{m},{a},{b})")
-        for a, m, b in itertools.product(range(B.dim), range(self.dim),
-                                         range(A.dim)):
-            lhs = self.right_apply(self.left_basis_act(a, m), {b: f.one})
-            rhs = self.left_apply({a: f.one}, self.right_basis_act(m, b))
-            if lhs != rhs:
-                out.append(f"{name}: actions do not commute at ({a},m{m},{b})")
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Bimodule):
             return NotImplemented
@@ -215,16 +139,6 @@ class BimoduleMap:
     def pair_apply(self, y, x):
         return self.pair.get((y, x), {})
 
-    def apply(self, yvec, xvec):
-        f = self.target.field
-        out = {}
-        for y, cy in yvec.items():
-            for x, cx in xvec.items():
-                v = self.pair.get((y, x))
-                if v:
-                    f.row_addmul(out, v, f.mul(cy, cx))
-        return out
-
     @property
     def matrix(self):
         f = self.target.field
@@ -236,33 +150,6 @@ class BimoduleMap:
                 entries.append((t, col, c))
         return Matrix.from_entries(f, self.target.dim,
                                    self.outer.dim * nx, entries)
-
-    def violations(self, name="mu"):
-        f = self.target.field
-        out = []
-        outer, inner, target = self.outer, self.inner, self.target
-        B = outer.left_alg        # acts on the left of the product
-        mid = outer.right_alg     # must balance through the middle
-        A = inner.right_alg
-        for a, y, x in itertools.product(range(B.dim), range(outer.dim),
-                                         range(inner.dim)):
-            lhs = self.apply(outer.left_basis_act(a, y), {x: f.one})
-            rhs = target.left_apply({a: f.one}, self.pair_apply(y, x))
-            if lhs != rhs:
-                out.append(f"{name}: not left-linear at ({a},{y},{x})")
-        for y, x, a in itertools.product(range(outer.dim), range(inner.dim),
-                                         range(A.dim)):
-            lhs = self.apply({y: f.one}, inner.right_basis_act(x, a))
-            rhs = target.right_apply(self.pair_apply(y, x), {a: f.one})
-            if lhs != rhs:
-                out.append(f"{name}: not right-linear at ({y},{x},{a})")
-        for y, b, x in itertools.product(range(outer.dim), range(mid.dim),
-                                         range(inner.dim)):
-            lhs = self.apply(outer.right_basis_act(y, b), {x: f.one})
-            rhs = self.apply({y: f.one}, inner.left_basis_act(b, x))
-            if lhs != rhs:
-                out.append(f"{name}: not balanced over the middle at ({y},{b},{x})")
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, BimoduleMap):
@@ -283,7 +170,7 @@ class TriangularAlgebra:
     """
 
     __slots__ = ("field", "n", "diag", "mods", "mus", "total", "block_of",
-                 "block_offset", "tensorial_adjacent")
+                 "tensorial_adjacent")
 
     def __init__(self, field, n, diag, mods, mus):
         self.field = field
@@ -293,7 +180,6 @@ class TriangularAlgebra:
         self.mus = mus
         self.total = None
         self.block_of = None
-        self.block_offset = None
         self.tensorial_adjacent = None
         assemble_total(self)
 
@@ -330,14 +216,6 @@ class TriangularAlgebra:
         """All block labels (j, i) with j >= i, in row-major order."""
         return [(j, i) for j in range(1, self.n + 1) for i in range(1, j + 1)]
 
-    def total_index(self, j, i, local):
-        return self.block_offset[(j, i)] + local
-
-    def total_block(self, idx):
-        """(block, local index) of a total-basis element."""
-        j, i = self.block_of[idx]
-        return (j, i), idx - self.block_offset[(j, i)]
-
     def __eq__(self, other):
         if not isinstance(other, TriangularAlgebra):
             return NotImplemented
@@ -351,54 +229,64 @@ class TriangularAlgebra:
 
 
 def validate_triangular(t):
-    """Every violated axiom of the triangular data, as a list of messages.
+    """Every violated axiom of the triangular data, as a list of at most
+    ``_MAX_REPORTED`` messages; an empty report means a valid algebra.
 
-    Covers associativity and units of each diagonal algebra, the bimodule
-    axioms of every block, bilinearity/balance of every composition map, and
-    the associativity pentagon for every composable triple of compositions.
-    An empty report means the data is a valid triangular algebra.
+    Besides two structural checks (the modules act through the diagonal
+    algebras, composition levels strictly decrease), T must be unital and
+    associative under block-matrix multiplication.  Over composable block
+    triples (m,l)(l,j)(j,i) this one axiom covers associativity of each
+    A_i, the module axioms of each M[j,i], bilinearity and balance of each
+    composition map, and the pentagon.
     """
-    f = t.field
-    out = []
-    for a in t.diag:
-        out.extend(a.violations())
+    return list(itertools.islice(_violations(t), _MAX_REPORTED))
+
+
+def _violations(t):
+    """Yield one message per structural fault, then per failing unit or
+    associativity instance, every product read from ``block_mul``."""
     for (j, i), m in sorted(t.mods.items()):
         if m.left_alg is not t.diag[j - 1] or m.right_alg is not t.diag[i - 1]:
-            out.append(f"M[{j},{i}]: action algebras do not match the diagonal")
-        out.extend(m.violations())
-    for (l, j, i), mu in sorted(t.mus.items()):
+            yield f"M[{j},{i}]: action algebras do not match the diagonal"
+    for (l, j, i) in sorted(t.mus):
         if not (l > j > i):
-            out.append(f"mu[{l},{j},{i}]: levels must strictly decrease")
-            continue
-        out.extend(mu.violations(name=f"mu[{l},{j},{i}]"))
-    # pentagon: composing (m,l), (l,j), (j,i) both ways agrees
-    for m_, l_, j_, i_ in itertools.combinations(range(t.n, 0, -1), 4):
-        top = t.mods.get((m_, l_))
-        midm = t.mods.get((l_, j_))
-        low = t.mods.get((j_, i_))
-        if not (top and midm and low and top.dim and midm.dim and low.dim):
-            continue
-        mu_lji = t.mu(l_, j_, i_)
-        mu_mli = t.mu(m_, l_, i_)
-        mu_mlj = t.mu(m_, l_, j_)
-        mu_mji = t.mu(m_, j_, i_)
-        for y, z, x in itertools.product(range(top.dim), range(midm.dim),
-                                         range(low.dim)):
-            a = _maybe_apply(mu_mli, {y: f.one}, _maybe_pair(mu_lji, z, x))
-            b = _maybe_apply(mu_mji, _maybe_pair(mu_mlj, y, z), {x: f.one})
-            if a != b:
-                out.append(
-                    f"pentagon fails on blocks ({m_},{l_},{j_},{i_}) at "
-                    f"basis ({y},{z},{x})")
+            yield f"mu[{l},{j},{i}]: levels must strictly decrease"
+    f = t.field
+    for (j, i) in t.blocks():
+        for b in range(t.block_dim(j, i)):
+            e = {b: f.one}
+            if _bilinear(f, t.block_mul(j, j, i), t.diag[j - 1].unit, e) != e:
+                yield _failure(((j, j), (j, i)), ("1", b), "1*b != b")
+            if _bilinear(f, t.block_mul(j, i, i), e, t.diag[i - 1].unit) != e:
+                yield _failure(((j, i), (i, i)), (b, "1"), "b*1 != b")
+    for m, l, j, i in itertools.combinations_with_replacement(
+            range(t.n, 0, -1), 4):
+        mlj, lji = t.block_mul(m, l, j), t.block_mul(l, j, i)
+        mji, mli = t.block_mul(m, j, i), t.block_mul(m, l, i)
+        for a, b, c in itertools.product(range(t.block_dim(m, l)),
+                                         range(t.block_dim(l, j)),
+                                         range(t.block_dim(j, i))):
+            left = _bilinear(f, mji, mlj.get((a, b), {}), {c: f.one})
+            right = _bilinear(f, mli, {a: f.one}, lji.get((b, c), {}))
+            if left != right:
+                yield _failure(((m, l), (l, j), (j, i)), (a, b, c),
+                               "(ab)c != a(bc)")
+
+
+def _failure(blocks, basis, what):
+    where = "".join(f"({p},{q})" for p, q in blocks)
+    return f"blocks {where} at basis ({','.join(map(str, basis))}): {what}"
+
+
+def _bilinear(f, table, u, v):
+    """Sum of u_p * v_q * table[(p, q)] over two sparse vectors."""
+    out = {}
+    for p, cu in u.items():
+        for q, cv in v.items():
+            prod = table.get((p, q))
+            if prod:
+                f.row_addmul(out, prod, f.mul(cu, cv))
     return out
-
-
-def _maybe_pair(mu, y, x):
-    return mu.pair_apply(y, x) if mu is not None else {}
-
-
-def _maybe_apply(mu, yvec, xvec):
-    return mu.apply(yvec, xvec) if mu is not None else {}
 
 
 def assemble_total(t):
@@ -435,7 +323,6 @@ def assemble_total(t):
     t.total = FiniteDimAlgebra(f, dim, dict(sorted(mul.items())), unit,
                                label="T")
     t.block_of = block_of
-    t.block_offset = offset
     return t.total
 
 
@@ -443,10 +330,11 @@ def tensor_over(mid, m, n):
     """Balanced tensor product of a right module and a left module over
     ``mid``, as a quotient of the plain tensor product.
 
-    Returns (quotient bimodule, projection matrix).  The quotient is the
-    span of ``y.a (x) x  -  y (x) a.x`` divided out; the projection sends
-    the flat tensor basis (y major, x minor) onto the chosen complement
-    coordinates.
+    Returns (quotient bimodule, projection matrix, free coordinates).  The
+    quotient is the span of ``y.a (x) x  -  y (x) a.x`` divided out; its
+    basis is the free (non-pivot) coordinates ``free`` of the flat tensor
+    basis (y major, x minor), so the projection sends ``e_{free[k]}`` to
+    ``e_k``.
     """
     f = mid.field
     if m.right_alg is not mid or n.left_alg is not mid:
@@ -510,7 +398,7 @@ def tensor_over(mid, m, n):
                 ract[(k, a)] = img
     label = f"{m.label}(x){n.label}" if m.label or n.label else ""
     quotient = Bimodule(f, qdim, m.left_alg, n.right_alg, lact, ract, label)
-    return quotient, projection
+    return quotient, projection, free
 
 
 def build_tensorial(diag, adjacent):
@@ -534,18 +422,18 @@ def build_tensorial(diag, adjacent):
             raise InputError(f"adjacent bimodule {i + 1},{i} has mismatched actions")
 
     mods = {}
-    folds = {}   # (j, i) -> (projection, section) of the fold making M[j,i]
+    folds = {}   # (j, i) -> (projection, free coordinates) of its fold
     for gap in range(1, n):
         for i in range(1, n - gap + 1):
             j = i + gap
             if gap == 1:
                 mods[(j, i)] = adjacent[i - 1]
                 continue
-            folded, proj = tensor_over(diag[j - 2], adjacent[j - 2],
-                                       mods[(j - 1, i)])
+            folded, proj, free = tensor_over(diag[j - 2], adjacent[j - 2],
+                                             mods[(j - 1, i)])
             folded.label = f"M[{j},{i}]"
             mods[(j, i)] = folded
-            folds[(j, i)] = (proj, _section_of(proj, f))
+            folds[(j, i)] = (proj, free)
 
     mus = {}
     for l in range(3, n + 1):
@@ -557,20 +445,17 @@ def build_tensorial(diag, adjacent):
                 if j < l - 1:
                     below = mus[(l - 1, j, i)]
                     split = mods[(l - 1, j)].dim
-                    section = folds[(l, j)][1]
+                    free = folds[(l, j)][1]
                 pair = {}
                 for y in range(outer.dim):
                     for x in range(inner.dim):
                         if j == l - 1:
                             tensor = {y * width + x: f.one}
                         else:
-                            # y = p(sum c a (x) b), read from the section
-                            tensor = {}
-                            for ab, c in section[y].items():
-                                a, b = divmod(ab, split)
-                                mu_bx = below.pair_apply(b, x)
-                                f.row_addmul(tensor, {a * width + z: v
-                                                      for z, v in mu_bx.items()}, c)
+                            # y = p(a (x) b) for the free coordinate (a, b)
+                            a, b = divmod(free[y], split)
+                            tensor = {a * width + z: v for z, v
+                                      in below.pair_apply(b, x).items()}
                         img = proj.apply(tensor)
                         if img:
                             pair[(y, x)] = img
@@ -579,25 +464,6 @@ def build_tensorial(diag, adjacent):
     t = TriangularAlgebra(f, n, list(diag), mods, mus)
     t.tensorial_adjacent = list(adjacent)
     return t
-
-
-def _section_of(projection, f):
-    """Right inverse of a surjective projection matrix, one sparse column
-    per target basis vector, found by feeding columns to a solver."""
-    solver = EchelonSolver(f)
-    cols = {}
-    for r, row in enumerate(projection.rows):
-        for c, v in row.items():
-            cols.setdefault(c, {})[r] = v
-    for c in sorted(cols):
-        solver.add(cols[c], c)
-    secs = []
-    for q in range(projection.nrows):
-        combo = solver.express({q: f.one})
-        if combo is None:
-            raise InputError("projection is not surjective")
-        secs.append(combo)
-    return secs
 
 
 def center(a):

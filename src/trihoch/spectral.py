@@ -229,7 +229,7 @@ def chain_module(t, chain):
         if nxt is None:
             nxt = Bimodule.zero(t.field, t.diag[k[s + 1] - 1],
                                 t.diag[k[s] - 1])
-        cur, _ = tensor_over(t.diag[k[s] - 1], nxt, cur)
+        cur, _, _ = tensor_over(t.diag[k[s] - 1], nxt, cur)
     return cur
 
 
@@ -481,7 +481,7 @@ def _is_tensorial_3(t):
     mu = t.mu(3, 2, 1)
     if mu is None or d32 == 0 or d21 == 0:
         return False
-    quotient, _ = tensor_over(t.diag[1], m32, m21)
+    quotient, _, _ = tensor_over(t.diag[1], m32, m21)
     return (matrix_rank(mu.matrix) == d31 and quotient.dim == d31)
 
 

@@ -66,6 +66,22 @@ def thin_bimodule(f, outer, inner, label=""):
                     {(0, 0): {0: f.one}}, {(0, 0): {0: f.one}}, label=label)
 
 
+def embedding(piece):
+    """The smallest triangular algebra holding a bimodule, at (2, 1), or a
+    composition map with its three modules, at (3, 2, 1), so that
+    validate_triangular checks the piece's axioms."""
+    if isinstance(piece, Bimodule):
+        return TriangularAlgebra(piece.field, 2,
+                                 [piece.right_alg, piece.left_alg],
+                                 {(2, 1): piece}, {})
+    outer, inner = piece.outer, piece.inner
+    return TriangularAlgebra(inner.field, 3,
+                             [inner.right_alg, inner.left_alg, outer.left_alg],
+                             {(2, 1): inner, (3, 2): outer,
+                              (3, 1): piece.target},
+                             {(3, 2, 1): piece})
+
+
 def random_path_algebra(rng, f, cap=8):
     """Path algebra of a random layered acyclic quiver, retried until the
     path count (= total dim) fits under the cap."""

@@ -323,6 +323,20 @@ class TestMainErrors:
                        name="in.tri")
         assert run([p]) == (1, "", "error: missing unit for A2\n")
 
+    def test_invalid_triangular_report_is_capped(self, tmp_path):
+        # 1 acts as 2 on the left of every basis vector of a 60-dim module:
+        # 120 failing unit and associativity instances, reported up to 50
+        lines = ["algebra A1 dim 1", "unit A1 : 1", "mul A1 : 0 0 0 1",
+                 "algebra A2 dim 1", "unit A2 : 1", "mul A2 : 0 0 0 1",
+                 "module M21 dim 60"]
+        for m in range(60):
+            lines += [f"lact M21 : 0 {m} {m} 2", f"ract M21 : {m} 0 {m} 1"]
+        p = self.write(tmp_path, "\n".join(lines) + "\n", name="in.tri")
+        code, out, err = run([p])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid triangular data:")
+        assert len(err.splitlines()) <= 51
+
     def test_unknown_report(self):
         code, out, err = run([str(DATA / "chain3.quiver"),
                               "--report", "nope"])

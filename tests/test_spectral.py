@@ -33,6 +33,7 @@ from trihoch import (
 from instances import (
     FP,
     chain_algebra,
+    embedding,
     free_bimodule,
     nilpotent_action_algebra,
     thin_bimodule,
@@ -347,7 +348,7 @@ class TestBlockHelpers:
         assert blk.dim == t.block_dim(3, 1) == 4
         assert blk.left_alg is t.diag[2]
         assert blk.right_alg is t.diag[0]
-        assert blk.violations() == []
+        assert validate_triangular(embedding(blk)) == []
 
     def test_chain_module_dims(self, branching):
         t, _ = branching

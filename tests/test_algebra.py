@@ -31,10 +31,10 @@ from trihoch import (
 from instances import (
     FP,
     chain_algebra,
+    embedding,
     free_bimodule,
     kronecker_algebra,
     nilpotent_action_algebra,
-    embedding,
     thin_bimodule,
 )
 
@@ -218,7 +218,6 @@ class TestTriangularAssembly:
         assert validate_triangular(t) == []
         perturb(t)
         msgs = validate_triangular(t)
-        assert msgs != []
         assert any(s.startswith(f"blocks {blocks} at basis ") for s in msgs)
 
     def test_total_assembly(self):

@@ -11,6 +11,13 @@ is exact: no floating point anywhere.
 Subspaces are stored as reduced-row-echelon bases, which are unique, so two
 equal subspaces always have identical representations and equality is a
 plain comparison.
+
+Rank-only calls (``matrix_rank``, ``graded_rank``) eliminate the shorter
+side of a matrix, its nonempty columns when they are fewer than its
+nonempty rows: row rank equals column rank, and the tall differentials of
+a cochain window hold far fewer redundant columns than redundant rows.
+Everything that needs a basis (kernels, subspaces, the solver) eliminates
+rows.
 """
 
 from __future__ import annotations
@@ -337,9 +344,23 @@ def _echelon(field, rowdicts):
     return pivots
 
 
+def _rank(field, rows):
+    """Rank of the nonempty row dicts ``rows``, which are left unchanged,
+    found by eliminating the rows or the nonempty columns, whichever are
+    fewer."""
+    cols = set().union(*rows)
+    if len(cols) >= len(rows):
+        return len(_echelon(field, [dict(r) for r in rows]))
+    t = {c: {} for c in cols}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            t[c][r] = v
+    return len(_echelon(field, list(t.values())))
+
+
 def matrix_rank(m):
     """Rank, by sparse forward elimination only (no canonical form built)."""
-    return len(_echelon(m.field, [dict(r) for r in m.rows if r]))
+    return _rank(m.field, [r for r in m.rows if r])
 
 
 def graded_rank(m, row_keys):
@@ -352,8 +373,8 @@ def graded_rank(m, row_keys):
     groups = {}
     for r, row in enumerate(m.rows):
         if row:
-            groups.setdefault(row_keys[r], []).append(dict(row))
-    return sum(len(_echelon(m.field, rows)) for rows in groups.values())
+            groups.setdefault(row_keys[r], []).append(row)
+    return sum(_rank(m.field, rows) for rows in groups.values())
 
 
 def _canonical_rows(field, rowdicts):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import trihoch.exactla
 from trihoch import (
     GF,
     QQ,
@@ -14,6 +15,7 @@ from trihoch import (
     InternalInvariantError,
     Matrix,
     Subspace,
+    graded_rank,
     image,
     kernel,
     matrix_rank,
@@ -57,6 +59,35 @@ class TestGoldens:
         red, pivots = rref(Matrix.from_dense(f, [[1, 2], [2, 4]]))
         assert dense(red) == [[f.one, f.of(2)], [f.zero, f.zero]]
         assert pivots == [0]
+
+    def test_rank_tall(self, f):
+        # 12 x 3, so the rank is found by eliminating the 3 columns
+        full = [[1, 0, 0], [0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 1, 1],
+                [1, 2, 1], [0, 0, 0], [3, 3, 0], [1, 0, 1], [0, 0, 0],
+                [2, 1, 1], [0, 3, 3]]
+        m = Matrix.from_dense(f, full)
+        before = dense(m)
+        assert matrix_rank(m) == 3
+        assert dense(m) == before
+        # the same rows with column 2 replaced by column 0 + column 1
+        m = Matrix.from_dense(f, [[a, b, a + b] for a, b, _ in full])
+        assert matrix_rank(m) == 2 == m.ncols - kernel(m).dim
+
+    def test_rank_eliminates_shorter_side(self, f, monkeypatch):
+        sizes = []
+        echelon = trihoch.exactla._echelon
+
+        def recorded(field, rowdicts):
+            sizes.append(len(rowdicts))
+            return echelon(field, rowdicts)
+
+        monkeypatch.setattr(trihoch.exactla, "_echelon", recorded)
+        tall = [[1, 0, 2]] * 5 + [[0, 0, 0], [0, 1, 1], [1, 1, 3]]
+        wide = [list(col) for col in zip(*tall)]
+        assert matrix_rank(Matrix.from_dense(f, tall)) == 2
+        assert matrix_rank(Matrix.from_dense(f, wide)) == 2
+        # 7 nonempty rows against 3 nonempty columns, then the transpose
+        assert sizes == [3, 3]
 
     def test_kernel_identity(self, f):
         m = Matrix.from_dense(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -218,6 +249,41 @@ def test_grassmann_identity(pair):
 def test_rank_nullity(m):
     assert matrix_rank(m) + kernel(m).dim == m.ncols
     assert image(m).dim == matrix_rank(m)
+
+
+@st.composite
+def graded_matrices(draw):
+    """A matrix whose grades own disjoint rows and columns, with row keys:
+    each grade's block is tall or wide at random, ungraded rows and
+    columns stay empty, and rows and columns are shuffled so the grades
+    interleave."""
+    f = draw(st.sampled_from(FIELDS))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                           min_size=1, max_size=4))
+    nrows = sum(nr for nr, _ in shapes) + draw(st.integers(0, 3))
+    ncols = sum(nc for _, nc in shapes) + draw(st.integers(0, 3))
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    rows = [{} for _ in range(nrows)]
+    keys = [draw(st.integers(0, len(shapes))) for _ in range(nrows)]
+    r0 = c0 = 0
+    for g, (nr, nc) in enumerate(shapes):
+        for r in row_order[r0:r0 + nr]:
+            keys[r] = g
+            for c in col_order[c0:c0 + nc]:
+                v = f.of(draw(sparse_entry))
+                if v:
+                    rows[r][c] = v
+        r0, c0 = r0 + nr, c0 + nc
+    return Matrix(f, nrows, ncols, rows), keys
+
+
+@given(graded_matrices())
+def test_graded_rank_matches_matrix_rank(mk):
+    m, keys = mk
+    before = dense(m)
+    assert graded_rank(m, keys) == matrix_rank(m) == m.ncols - kernel(m).dim
+    assert dense(m) == before
 
 
 @given(subspace_pairs())

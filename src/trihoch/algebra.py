@@ -244,7 +244,12 @@ def validate_triangular(t):
 
 def _violations(t):
     """Yield one message per structural fault, then per failing unit or
-    associativity instance, every product read from ``block_mul``."""
+    associativity instance, every product read from ``block_mul``.
+
+    The work is proportional to the sizes of the product tables, not to
+    the cube of the block dimensions: only basis triples at which a side
+    of the associativity law can be nonzero are visited.
+    """
     for (j, i), m in sorted(t.mods.items()):
         if m.left_alg is not t.diag[j - 1] or m.right_alg is not t.diag[i - 1]:
             yield f"M[{j},{i}]: action algebras do not match the diagonal"
@@ -253,24 +258,54 @@ def _violations(t):
             yield f"mu[{l},{j},{i}]: levels must strictly decrease"
     f = t.field
     for (j, i) in t.blocks():
+        left = _unit_action(f, t.block_mul(j, j, i), t.diag[j - 1].unit, 0)
+        right = _unit_action(f, t.block_mul(j, i, i), t.diag[i - 1].unit, 1)
         for b in range(t.block_dim(j, i)):
             e = {b: f.one}
-            if _bilinear(f, t.block_mul(j, j, i), t.diag[j - 1].unit, e) != e:
+            if left.get(b) != e:
                 yield _failure(((j, j), (j, i)), ("1", b), "1*b != b")
-            if _bilinear(f, t.block_mul(j, i, i), e, t.diag[i - 1].unit) != e:
+            if right.get(b) != e:
                 yield _failure(((j, i), (i, i)), (b, "1"), "b*1 != b")
     for m, l, j, i in itertools.combinations_with_replacement(
             range(t.n, 0, -1), 4):
         mlj, lji = t.block_mul(m, l, j), t.block_mul(l, j, i)
         mji, mli = t.block_mul(m, j, i), t.block_mul(m, l, i)
-        for a, b, c in itertools.product(range(t.block_dim(m, l)),
-                                         range(t.block_dim(l, j)),
-                                         range(t.block_dim(j, i))):
+        for a, b, c in _support_triples(mlj, lji, mji, mli):
             left = _bilinear(f, mji, mlj.get((a, b), {}), {c: f.one})
             right = _bilinear(f, mli, {a: f.one}, lji.get((b, c), {}))
             if left != right:
                 yield _failure(((m, l), (l, j), (j, i)), (a, b, c),
                                "(ab)c != a(bc)")
+
+
+def _unit_action(f, table, unit, side):
+    """{b: 1*b} for ``side`` 0, {b: b*1} for ``side`` 1, in one pass over
+    the product table; b missing means the product is zero."""
+    out = {}
+    for key, prod in table.items():
+        c = unit.get(key[side])
+        if c is not None:
+            f.row_addmul(out.setdefault(key[1 - side], {}), prod, c)
+    return out
+
+
+def _support_triples(mlj, lji, mji, mli):
+    """The sorted basis triples (a, b, c) at which (ab)c or a(bc) can be
+    nonzero, from the keys of the four tables: elsewhere both vanish."""
+    after = {}      # p -> every c with (p, c) a key of mji
+    for p, c in mji:
+        after.setdefault(p, []).append(c)
+    before = {}     # q -> every a with (a, q) a key of mli
+    for a, q in mli:
+        before.setdefault(q, []).append(a)
+    triples = set()
+    for (a, b), ab in mlj.items():
+        for p in ab:
+            triples.update((a, b, c) for c in after.get(p, ()))
+    for (b, c), bc in lji.items():
+        for q in bc:
+            triples.update((a, b, c) for a in before.get(q, ()))
+    return sorted(triples)
 
 
 def _failure(blocks, basis, what):

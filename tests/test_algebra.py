@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+import trihoch.algebra
 from trihoch import (
     GF,
     QQ,
@@ -71,6 +72,28 @@ class TestMenuAlgebras:
 def test_center_of_connected_path_algebra():
     t = kronecker_algebra(QQ)
     assert center(t.total).dim == 1
+
+
+def test_validation_cost_is_linear_in_the_tables(monkeypatch):
+    """Associativity is checked only at basis triples where a side can be
+    nonzero: on k^r that is one triple (e_i, e_i, e_i) per product-table
+    entry, where a scan of every basis triple makes 2 r^3 products."""
+    calls = []
+    bilinear = trihoch.algebra._bilinear
+
+    def counted(*args):
+        calls.append(args)
+        return bilinear(*args)
+
+    monkeypatch.setattr(trihoch.algebra, "_bilinear", counted)
+    counts = {}
+    for r in (30, 60):
+        k = FiniteDimAlgebra.product_of_fields(QQ, r)
+        calls.clear()
+        assert validate_triangular(TriangularAlgebra(QQ, 1, [k], {}, {})) == []
+        counts[r] = len(calls)
+        assert 0 < counts[r] <= 2 * len(k.mul)
+    assert counts[60] == 2 * counts[30]
 
 
 class TestBimodules:

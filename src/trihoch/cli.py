@@ -563,6 +563,10 @@ def main(argv=None):
     except TrihochError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; the cochain window grows steeply with "
+              "the degree, so try a lower --max-degree", file=sys.stderr)
+        return 1
     sys.stdout.write(out)
     return 0
 

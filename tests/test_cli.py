@@ -337,6 +337,15 @@ class TestMainErrors:
         assert err.startswith("error: invalid triangular data:")
         assert len(err.splitlines()) <= 51
 
+    def test_out_of_memory(self, monkeypatch):
+        def exhaust(job):
+            raise MemoryError
+        monkeypatch.setattr(cli, "run_job", exhaust)
+        code, out, err = run([str(DATA / "chain3.quiver")])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory")
+        assert "--max-degree" in err and len(err.splitlines()) == 1
+
     def test_unknown_report(self):
         code, out, err = run([str(DATA / "chain3.quiver"),
                               "--report", "nope"])

@@ -563,7 +563,10 @@ def main(argv=None):
     except TrihochError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MemoryError:
+    except MemoryError as e:
+        # drop the traceback, whose frames hold the half-built window: with
+        # it alive the message below may find no memory left to be written
+        e.__traceback__ = None
         print("error: out of memory; the cochain window grows steeply with "
               "the degree, so try a lower --max-degree", file=sys.stderr)
         return 1

@@ -3,21 +3,22 @@
 Scalars are plain Python values: ``int``/``Fraction`` over the rationals,
 ``int`` in ``[0, p)`` over a prime field.  A ``Field`` object supplies the
 arithmetic so the same elimination code runs over either field.  Vectors are
-sparse dicts ``{index: value}`` with no stored zero; matrices are row-major
-lists of such dicts, plus a column-major view of the same entries that is
-built lazily, the first time the matrix is applied to a vector.  Everything
-is exact: no floating point anywhere.
+sparse dicts ``{index: value}`` with no stored zero.  A matrix keeps the
+side it was built from, a list of row dicts or a list of column dicts, and
+derives the other side lazily, the first time a caller reads it: ``apply``
+and ``image`` read columns, kernels and products read rows.  Everything is
+exact: no floating point anywhere.
 
 Subspaces are stored as reduced-row-echelon bases, which are unique, so two
 equal subspaces always have identical representations and equality is a
 plain comparison.
 
 Rank-only calls (``matrix_rank``, ``graded_rank``) eliminate the shorter
-side of a matrix, its nonempty columns when they are fewer than its
-nonempty rows: row rank equals column rank, and the tall differentials of
-a cochain window hold far fewer redundant columns than redundant rows.
-Everything that needs a basis (kernels, subspaces, the solver) eliminates
-rows.
+nonempty side of a matrix, starting from the side it stores: row rank
+equals column rank, and the tall differentials of a cochain window, which
+are built from columns, hold far fewer redundant columns than redundant
+rows.  Everything that needs a basis (kernels, subspaces, the solver)
+eliminates rows.
 """
 
 from __future__ import annotations
@@ -206,23 +207,27 @@ def GF(p):
 # matrices
 
 
-def _columns(rows, ncols):
-    """The column dicts ``{row: value}`` of row-major ``rows``."""
-    cols = [{} for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][r] = v
-    return cols
+def _transpose(lines, n):
+    """The ``n`` transposed dicts of ``lines``: columns of rows, or rows
+    of columns."""
+    out = [{} for _ in range(n)]
+    for i, line in enumerate(lines):
+        for j, v in line.items():
+            out[j][i] = v
+    return out
 
 
 class Matrix:
-    """Sparse exact matrix; ``rows[r]`` maps column index to nonzero entry.
+    """Sparse exact matrix with two views of its entries: ``rows[r]`` maps
+    column index to nonzero entry, ``cols[c]`` maps row index to nonzero
+    entry.
 
-    ``apply`` caches a column view of ``rows`` on its first call, so
-    ``rows`` must not be mutated once the matrix has been applied.
+    The matrix stores the side it was built from and derives the other on
+    first use, so neither side may be mutated once the other has been read
+    (``apply`` reads the columns).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols")
 
     def __init__(self, field, nrows, ncols, rows=None):
         self.field = field
@@ -232,8 +237,39 @@ class Matrix:
             rows = [{} for _ in range(nrows)]
         if len(rows) != nrows:
             raise InputError("row count mismatch")
-        self.rows = rows
+        self._rows = rows
         self._cols = None
+
+    @classmethod
+    def from_columns(cls, field, nrows, ncols, cols):
+        """Build from column dicts ``cols[c] = {row: value}``, no zeros."""
+        if len(cols) != ncols:
+            raise InputError("column count mismatch")
+        m = cls.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m._rows = None
+        m._cols = cols
+        return m
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = _transpose(self._cols, self.nrows)
+        return self._rows
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            self._cols = _transpose(self._rows, self.ncols)
+        return self._cols
+
+    def _stored(self):
+        """The side the matrix was built from: (is it rows, its dicts)."""
+        if self._rows is not None:
+            return True, self._rows
+        return False, self._cols
 
     @classmethod
     def from_entries(cls, field, nrows, ncols, entries):
@@ -268,16 +304,18 @@ class Matrix:
         return cls(field, nrows, ncols, rows)
 
     def nnz(self):
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self._stored()[1]))
 
     def copy(self):
-        return Matrix(self.field, self.nrows, self.ncols, [dict(r) for r in self.rows])
+        is_rows, lines = self._stored()
+        lines = [dict(x) for x in lines]
+        if is_rows:
+            return Matrix(self.field, self.nrows, self.ncols, lines)
+        return Matrix.from_columns(self.field, self.nrows, self.ncols, lines)
 
     def apply(self, vec):
         """Matrix times sparse column vector (dict over columns)."""
-        cols = self._cols
-        if cols is None:
-            cols = self._cols = _columns(self.rows, self.ncols)
+        cols = self.cols
         addmul = self.field.row_addmul
         out = {}
         for c, x in vec.items():
@@ -344,37 +382,40 @@ def _echelon(field, rowdicts):
     return pivots
 
 
-def _rank(field, rows):
-    """Rank of the nonempty row dicts ``rows``, which are left unchanged,
-    found by eliminating the rows or the nonempty columns, whichever are
-    fewer."""
-    cols = set().union(*rows)
-    if len(cols) >= len(rows):
-        return len(_echelon(field, [dict(r) for r in rows]))
-    t = {c: {} for c in cols}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            t[c][r] = v
+def _rank(field, lines):
+    """Rank of the nonempty dicts ``lines``, the rows or the columns of a
+    matrix, which are left unchanged; found by eliminating them or their
+    transposes, whichever are fewer."""
+    other = set().union(*lines)
+    if len(other) >= len(lines):
+        return len(_echelon(field, [dict(x) for x in lines]))
+    t = {k: {} for k in other}
+    for i, line in enumerate(lines):
+        for k, v in line.items():
+            t[k][i] = v
     return len(_echelon(field, list(t.values())))
 
 
 def matrix_rank(m):
     """Rank, by sparse forward elimination only (no canonical form built)."""
-    return _rank(m.field, [r for r in m.rows if r])
+    return _rank(m.field, [x for x in m._stored()[1] if x])
 
 
 def graded_rank(m, row_keys):
     """Rank of a matrix whose every row touches columns of a single grade.
 
     ``row_keys[r]`` is the grade of row r; rows of different grades use
-    disjoint column sets (the caller guarantees this), so the rank is the
-    sum of the per-grade ranks and each elimination stays small.
+    disjoint column sets (the caller guarantees this), so a nonempty column
+    has the grade of any of its rows, the rank is the sum of the per-grade
+    ranks and each elimination stays small.
     """
+    is_rows, lines = m._stored()
     groups = {}
-    for r, row in enumerate(m.rows):
-        if row:
-            groups.setdefault(row_keys[r], []).append(row)
-    return sum(_rank(m.field, rows) for rows in groups.values())
+    for i, x in enumerate(lines):
+        if x:
+            key = row_keys[i] if is_rows else row_keys[next(iter(x))]
+            groups.setdefault(key, []).append(x)
+    return sum(_rank(m.field, xs) for xs in groups.values())
 
 
 def _canonical_rows(field, rowdicts):
@@ -514,7 +555,7 @@ def kernel(m):
 
 def image(m):
     """Column space of ``m`` as a canonical Subspace of the row space."""
-    return Subspace.from_vectors(m.field, m.nrows, _columns(m.rows, m.ncols))
+    return Subspace.from_vectors(m.field, m.nrows, m.cols)
 
 
 def subspace_sum(u, v):

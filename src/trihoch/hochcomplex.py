@@ -128,12 +128,37 @@ def _bases(offset, pre, block, post, x, inner):
             for q in range(pre) for p in range(post) for i in range(inner)]
 
 
-def _emit(entries, deltas, rows, cols):
-    """Entries (row + dr, col + dc, v) for each delta (dr, dc, v) and each
-    aligned pair of base indices."""
+def _emit(f, columns, nrows, deltas, rows, cols):
+    """Add v at (row + dr, col + dc) of the column dicts ``columns`` for
+    each delta (dr, dc, v) and each aligned pair of base indices.  Repeats
+    accumulate and a sum that reaches zero is dropped; the whole batch is
+    range-checked once, from the extremes of the bases and the deltas."""
+    if not deltas or not rows:
+        return
+    drs = [d[0] for d in deltas]
+    dcs = [d[1] for d in deltas]
+    if (min(rows) + min(drs) < 0 or max(rows) + max(drs) >= nrows
+            or min(cols) + min(dcs) < 0
+            or max(cols) + max(dcs) >= len(columns)):
+        raise InputError("a term table points outside its cochain degree")
+    add = f.add
     pairs = list(zip(rows, cols))
     for dr, dc, v in deltas:
-        entries.extend([(r + dr, c + dc, v) for r, c in pairs])
+        v = f.of(v)
+        if v == f.zero:
+            continue
+        for r, c in pairs:
+            col = columns[c + dc]
+            r += dr
+            old = col.get(r)
+            if old is None:
+                col[r] = v
+            else:
+                nv = add(old, v)
+                if nv == f.zero:
+                    del col[r]
+                else:
+                    col[r] = nv
 
 
 def _word_window(f, L, layout, terms, tagged=False, kappa=None):
@@ -148,6 +173,11 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
       contract: (letter s, letter s+1) -> merged column letters,
       right:    (column coefficient, last letter) -> row coefficients,
     each as a sparse vector.  A term whose column cell is absent is zero.
+
+    Each differential delta_l is accumulated straight into its column
+    dicts, one ``_emit`` batch per term and cell, and stored as a
+    column-built ``Matrix``; its rows are derived only if a caller reads
+    them.
     """
     neg = f.neg
     cells = [[c for c, _ in lay.values()] for lay in layout]
@@ -155,7 +185,8 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
     diffs = []
     for l in range(L + 1):
         below = layout[l]
-        entries = []
+        nrows = dims[l + 1]
+        columns = [{} for _ in range(dims[l])]
         for key, (cell, slots) in layout[l + 1].items():
             left, contract, right = terms(key)
             x = cell.xdim
@@ -165,7 +196,7 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
                 table, ckey = left
                 col = below[ckey][0]
                 rest = col.mdim
-                _emit(entries,
+                _emit(f, columns, nrows,
                       [(a * rest * x + xo, xi, c)
                        for (a, xi), vec in table.items()
                        for xo, c in vec.items()],
@@ -178,7 +209,7 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
                 col, cslots = below[ckey]
                 post = stride[s + 1]
                 pre = prod(slots[:s])
-                _emit(entries,
+                _emit(f, columns, nrows,
                       [((u * stride[s] + v * post) * x, m * post * x,
                         c if s % 2 else neg(c))
                        for (u, v), vec in table.items()
@@ -190,13 +221,13 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
             if right is not None and right[1] in below:
                 table, ckey = right
                 col = below[ckey][0]
-                _emit(entries,
+                _emit(f, columns, nrows,
                       [(a * x + xo, xi, neg(c) if len(slots) % 2 else c)
                        for (xi, a), vec in table.items()
                        for xo, c in vec.items()],
                       _bases(cell.offset, col.mdim, slots[-1], 1, x, 1),
                       _bases(col.offset, col.mdim, 1, 1, col.xdim, 1))
-        diffs.append(Matrix.from_entries(f, dims[l + 1], dims[l], entries))
+        diffs.append(Matrix.from_columns(f, nrows, dims[l], columns))
     tags = None
     if tagged:
         tags = [[c.tag for c in cs for _ in range(c.dim)] for cs in cells]
@@ -310,10 +341,10 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
 
 
 def _check_grading(m, row_keys, col_keys):
-    for r, row in enumerate(m.rows):
-        kr = row_keys[r]
-        for c in row:
-            if col_keys[c] != kr:
+    for c, col in enumerate(m.cols):
+        kc = col_keys[c]
+        for r in col:
+            if row_keys[r] != kc:
                 raise InternalInvariantError(
                     "graded differential has an entry crossing grades")
 

@@ -4,6 +4,7 @@ end-to-end runs of the command line driver."""
 import contextlib
 import io
 import pathlib
+import weakref
 
 import pytest
 
@@ -338,13 +339,34 @@ class TestMainErrors:
         assert len(err.splitlines()) <= 51
 
     def test_out_of_memory(self, monkeypatch):
+        """The failed job's locals are released before the message is
+        written: at a hard memory limit the message needs that memory."""
+        class Window:
+            pass
+
+        held = []
+
         def exhaust(job):
+            window = Window()
+            held.append(weakref.ref(window))
             raise MemoryError
+
+        released = []
+
+        class Stderr(io.StringIO):
+            def write(self, s):
+                released.append(all(ref() is None for ref in held))
+                return super().write(s)
+
         monkeypatch.setattr(cli, "run_job", exhaust)
-        code, out, err = run([str(DATA / "chain3.quiver")])
+        out, err = io.StringIO(), Stderr()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(DATA / "chain3.quiver")])
+        out, err = out.getvalue(), err.getvalue()
         assert (code, out) == (1, "")
         assert err.startswith("error: out of memory")
         assert "--max-degree" in err and len(err.splitlines()) == 1
+        assert held and released and all(released)
 
     def test_unknown_report(self):
         code, out, err = run([str(DATA / "chain3.quiver"),

@@ -35,6 +35,14 @@ def dense(m):
             for r in range(m.nrows)]
 
 
+def column_built(m):
+    """A copy of ``m`` built from its columns, read off its rows."""
+    return Matrix.from_columns(
+        m.field, m.nrows, m.ncols,
+        [{r: row[c] for r, row in enumerate(m.rows) if c in row}
+         for c in range(m.ncols)])
+
+
 def span(field, ambient, *vecs):
     return Subspace.from_vectors(
         field, ambient,
@@ -84,10 +92,13 @@ class TestGoldens:
         monkeypatch.setattr(trihoch.exactla, "_echelon", recorded)
         tall = [[1, 0, 2]] * 5 + [[0, 0, 0], [0, 1, 1], [1, 1, 3]]
         wide = [list(col) for col in zip(*tall)]
-        assert matrix_rank(Matrix.from_dense(f, tall)) == 2
-        assert matrix_rank(Matrix.from_dense(f, wide)) == 2
-        # 7 nonempty rows against 3 nonempty columns, then the transpose
-        assert sizes == [3, 3]
+        for d in (tall, wide):
+            m = Matrix.from_dense(f, d)
+            assert matrix_rank(m) == 2
+            assert matrix_rank(column_built(m)) == 2
+        # 7 nonempty rows against 3 nonempty columns, then the transpose,
+        # each from its rows and from its columns
+        assert sizes == [3, 3, 3, 3]
 
     def test_kernel_identity(self, f):
         m = Matrix.from_dense(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -284,6 +295,46 @@ def test_graded_rank_matches_matrix_rank(mk):
     before = dense(m)
     assert graded_rank(m, keys) == matrix_rank(m) == m.ncols - kernel(m).dim
     assert dense(m) == before
+    mc = column_built(m)
+    cols = [dict(c) for c in mc.cols]
+    assert graded_rank(mc, keys) == matrix_rank(mc) == matrix_rank(m)
+    assert mc.cols == cols
+
+
+@st.composite
+def entry_matrices(draw):
+    """(field, nrows, ncols, entries) for tall, wide and square shapes,
+    with empty rows and columns; entries repeat, and some cancel out."""
+    f = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(0, 9))
+    if not (nrows and ncols):
+        return f, nrows, ncols, []
+    entries = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                      st.integers(0, ncols - 1),
+                                      sparse_entry), max_size=24))
+    if entries:
+        for r, c, v in draw(st.lists(st.sampled_from(entries), max_size=4)):
+            entries.append((r, c, f.neg(f.of(v))))
+    return f, nrows, ncols, draw(st.permutations(entries))
+
+
+@given(entry_matrices())
+def test_column_built_matches_entries(fe):
+    f, nrows, ncols, entries = fe
+    m = Matrix.from_entries(f, nrows, ncols, entries)
+    mc = column_built(m)
+    assert mc.rows == m.rows
+    assert mc == m and mc.nnz() == m.nnz()
+    assert image(mc) == image(m) and kernel(mc) == kernel(m)
+    for c in range(ncols):
+        assert mc.apply({c: f.one}) == m.apply({c: f.one})
+    # a copy of a matrix that holds only columns does not share them
+    src = column_built(m)
+    dup = src.copy()
+    if nrows and ncols:
+        dup.cols[0][0] = f.add(dup.cols[0].get(0, f.zero), f.one)
+    assert src == m
 
 
 @given(subspace_pairs())

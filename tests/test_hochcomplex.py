@@ -15,6 +15,7 @@ from trihoch import (
     CochainWindow,
     FiniteDimAlgebra,
     InputError,
+    InternalInvariantError,
     Matrix,
     TriangularAlgebra,
     bar_budget_estimate,
@@ -28,6 +29,8 @@ from trihoch import (
     compute_levels,
     path_algebra,
 )
+
+from trihoch.hochcomplex import _check_grading, _layout, _word_window
 
 from instances import (
     FP,
@@ -143,6 +146,56 @@ class TestBarOracle:
         w = bar_oracle(nilpotent_action_algebra(), L=2)
         for l in range(w.L):
             assert w.diffs[l + 1].matmul(w.diffs[l]).nnz() == 0
+
+
+class TestKeptChecks:
+    """The checks the column-wise emitter keeps: a term table that points
+    past its cochain degree is refused, and the bar oracle refuses a
+    differential that crosses its grading."""
+
+    @staticmethod
+    def one_slot_window(table):
+        """delta_0 from one coefficient into two words of one letter,
+        whose only term is the left action ``table``."""
+        layout = [_layout([("x", (), 1, None)]),
+                  _layout([("y", (2,), 1, None)])]
+        return _word_window(QQ, 0, layout, lambda key: ((table, "x"), [], None))
+
+    def test_term_table_in_range(self):
+        w = self.one_slot_window({(0, 0): {0: 1}, (1, 0): {0: -1}})
+        assert w.diffs[0].rows == [{0: 1}, {0: -1}]
+
+    @pytest.mark.parametrize("table", [
+        {(2, 0): {0: 1}},     # letter 2 of a two-letter slot: row past C^1
+        {(0, 1): {0: 1}},     # coefficient 1 of a one-dim block: past C^0
+    ], ids=["row", "column"])
+    def test_term_table_past_its_cell(self, table):
+        with pytest.raises(InputError):
+            self.one_slot_window(table)
+
+    def test_grading_crossing_entry(self):
+        t = kronecker_algebra(QQ)
+        w = bar_oracle(t, L=1)
+        keys = w.kappa
+        for l in range(w.L + 1):
+            _check_grading(w.diffs[l], keys[l + 1], keys[l])
+        d = w.diffs[1]
+        c = 0
+        r = next(r for r in range(d.nrows) if keys[2][r] != keys[1][c])
+        d.cols[c][r] = QQ.one
+        with pytest.raises(InternalInvariantError):
+            _check_grading(d, keys[2], keys[1])
+
+    def test_grading_that_products_cross(self):
+        t = kronecker_algebra(QQ)
+        total = t.total
+        x = Bimodule(QQ, total.dim, total, total, total.mul, total.mul)
+        weight = [j - i for (j, i) in t.block_of]
+        arrow = weight.index(1)
+        tweight = weight[:arrow] + [2] + weight[arrow + 1:]
+        build_bar_complex(total, x, 1, grading=(weight, weight))
+        with pytest.raises(InternalInvariantError):
+            build_bar_complex(total, x, 1, grading=(tweight, weight))
 
 
 class TestExtComplex:

@@ -537,6 +537,7 @@ def main(argv=None):
     ap.add_argument("--emit", choices=("table", "tsv"), default="table")
     ap.add_argument("--oracle-budget", type=int,
                     default=DEFAULT_ORACLE_BUDGET, metavar="entries")
+    oom = False
     try:
         ns = ap.parse_args(argv)
         try:
@@ -563,10 +564,12 @@ def main(argv=None):
     except TrihochError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MemoryError as e:
-        # drop the traceback, whose frames hold the half-built window: with
-        # it alive the message below may find no memory left to be written
-        e.__traceback__ = None
+    except MemoryError:
+        # the message is written after the except block has ended: until
+        # then the traceback, whose frames hold the half-built window, is
+        # alive, and at a hard memory limit the message would find no memory
+        oom = True
+    if oom:
         print("error: out of memory; the cochain window grows steeply with "
               "the degree, so try a lower --max-degree", file=sys.stderr)
         return 1

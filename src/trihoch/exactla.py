@@ -227,7 +227,7 @@ class Matrix:
     (``apply`` reads the columns).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols", "_by_cols")
 
     def __init__(self, field, nrows, ncols, rows=None):
         self.field = field
@@ -239,6 +239,7 @@ class Matrix:
             raise InputError("row count mismatch")
         self._rows = rows
         self._cols = None
+        self._by_cols = False
 
     @classmethod
     def from_columns(cls, field, nrows, ncols, cols):
@@ -251,6 +252,7 @@ class Matrix:
         m.ncols = ncols
         m._rows = None
         m._cols = cols
+        m._by_cols = True
         return m
 
     @property
@@ -267,9 +269,9 @@ class Matrix:
 
     def _stored(self):
         """The side the matrix was built from: (is it rows, its dicts)."""
-        if self._rows is not None:
-            return True, self._rows
-        return False, self._cols
+        if self._by_cols:
+            return False, self._cols
+        return True, self._rows
 
     @classmethod
     def from_entries(cls, field, nrows, ncols, entries):

@@ -67,7 +67,14 @@ class FilteredComplex:
             out = Subspace.from_vectors(
                 f, dim_l, [{c: f.one} for c in cols])
         else:
-            sub = w.diffs[l].row_select(kill_rows).col_select(cols)
+            # slice the stored columns: a column-built differential never
+            # derives its full row view
+            pos = {k: i for i, k in enumerate(kill_rows)}
+            dcols = w.diffs[l].cols
+            sub = Matrix.from_columns(
+                f, len(kill_rows), len(cols),
+                [{pos[k]: v for k, v in dcols[c].items() if k in pos}
+                 for c in cols])
             ker = kernel(sub)
             rows = [{cols[c]: v for c, v in row.items()} for row in ker.rows]
             pivots = [cols[c] for c in ker.pivots]

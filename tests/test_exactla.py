@@ -299,6 +299,11 @@ def test_graded_rank_matches_matrix_rank(mk):
     cols = [dict(c) for c in mc.cols]
     assert graded_rank(mc, keys) == matrix_rank(mc) == matrix_rank(m)
     assert mc.cols == cols
+    # reading the derived rows leaves the columns the stored side
+    assert mc.rows == m.rows
+    assert graded_rank(mc, keys) == matrix_rank(mc) == matrix_rank(m)
+    dup = mc.copy()
+    assert dup._rows is None and dup == m
 
 
 @st.composite

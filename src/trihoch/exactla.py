@@ -336,19 +336,6 @@ class Matrix:
             rows.append(acc)
         return Matrix(f, self.nrows, other.ncols, rows)
 
-    def row_select(self, indices):
-        """Submatrix keeping the given rows, reindexed to 0..len-1."""
-        return Matrix(self.field, len(indices), self.ncols,
-                      [dict(self.rows[i]) for i in indices])
-
-    def col_select(self, indices):
-        """Submatrix keeping the given columns, reindexed to 0..len-1."""
-        pos = {c: k for k, c in enumerate(indices)}
-        rows = []
-        for row in self.rows:
-            rows.append({pos[c]: v for c, v in row.items() if c in pos})
-        return Matrix(self.field, self.nrows, len(indices), rows)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

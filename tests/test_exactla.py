@@ -380,15 +380,6 @@ def test_apply_on_derived_matrices(data):
     m = data.draw(sparse_matrices())
     m.apply({0: m.field.one})   # builds the column view of m
     vec = data.draw(sparse_vectors(m))
-    picked_rows = data.draw(st.lists(st.integers(0, m.nrows - 1), max_size=6)
-                            if m.nrows else st.just([]))
-    picked_cols = data.draw(st.lists(st.integers(0, m.ncols - 1),
-                                     min_size=1, max_size=6, unique=True))
-    sub = m.row_select(picked_rows)
-    assert sub.apply(vec) == dense_apply(sub, vec)
-    sub = m.col_select(picked_cols)
-    svec = {k: x for k, x in vec.items() if k < sub.ncols}
-    assert sub.apply(svec) == dense_apply(sub, svec)
     # a copy does not share the view: edit its rows before its first apply
     dup = m.copy()
     if dup.nrows:

@@ -350,23 +350,30 @@ class Matrix:
 # elimination cores
 
 
-def _echelon(field, rowdicts):
-    """Destructive forward elimination; returns {lead_col: row} unnormalized.
+def _echelon(field, rowdicts, owned=True):
+    """Forward elimination; returns {lead_col: row} unnormalized.
 
     Rows are processed sparsest first; the span of the result equals the span
-    of the input, and leading columns are pairwise distinct.
+    of the input, and leading columns are pairwise distinct.  ``owned`` rows
+    belong to the call and are reduced in place.  Otherwise a row is copied
+    the first time it is reduced, so the input dicts stay unchanged; pivots
+    are only read, so a pivot that was never reduced is an input dict.
     """
     pivots = {}
     neg = field.neg
     div = field.div
     addmul = field.row_addmul
     for r in sorted(rowdicts, key=len):
+        fresh = owned
         while r:
             c = min(r)
             p = pivots.get(c)
             if p is None:
                 pivots[c] = r
                 break
+            if not fresh:
+                r = dict(r)
+                fresh = True
             addmul(r, p, neg(div(r[c], p[c])))
     return pivots
 
@@ -377,7 +384,7 @@ def _rank(field, lines):
     transposes, whichever are fewer."""
     other = set().union(*lines)
     if len(other) >= len(lines):
-        return len(_echelon(field, [dict(x) for x in lines]))
+        return len(_echelon(field, lines, owned=False))
     t = {k: {} for k in other}
     for i, line in enumerate(lines):
         for k, v in line.items():

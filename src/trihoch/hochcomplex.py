@@ -14,8 +14,10 @@ product table of every term:
 - ``build_relative_complex``: the complex of a triangular algebra relative
   to its diagonal, one cell per trajectory, each basis vector tagged by
   the jump count that filters it;
-- ``build_bar_complex`` and ``bar_oracle``: the classical complex
-  Hom(T^{(x) l}, X), the independent oracle;
+- ``build_bar_complex``: the classical complex Hom(T^{(x) l}, X);
+- ``bar_oracle``: the independent oracle, the normalized complex
+  Hom(Tbar^{(x) l}, T) with Tbar = T/k.1, built by ``build_bar_complex``
+  from the multiplication table and the unit alone;
 - ``build_ext_complex``: cells B^{(x) q} (x) N (x) A^{(x) p} -> X, whose
   cohomology is Ext over the pair (B, A);
 - ``build_tor_complex``: cells m2 (x) mid^{(x) q} (x) m1 -> k with
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .algebra import Bimodule
+from .algebra import Bimodule, FiniteDimAlgebra
 from .errors import BudgetExceeded, InputError, InternalInvariantError
 from .exactla import Matrix, graded_rank, matrix_rank
 from .trajectory import (Jump, Stay, Trajectory, TrajectoryBasis,
@@ -350,13 +352,56 @@ def _check_grading(m, row_keys, col_keys):
 
 
 def bar_oracle(t, L=3, budget=DEFAULT_ORACLE_BUDGET):
-    """Bar complex of the assembled total algebra T with coefficients in
-    T, graded by block displacement j - i on both sides."""
+    """The normalized bar complex Hom(Tbar^{(x) l}, T) of the assembled
+    total algebra T, Tbar = T/k.1, graded by block displacement j - i on
+    both sides.  It is the subcomplex of cochains that vanish on words
+    holding a 1, quasi-isomorphic to the full bar complex (Loday, Cyclic
+    Homology, 1.1), so its cohomology is HH*(T, T); it is built from
+    nothing but the multiplication table and the unit.
+
+    The basis of T is changed once, the unit replacing a basis vector
+    e_u on which it has a nonzero coefficient c_u.  The unit lies in the
+    diagonal blocks, so e_u has grade 0.  The letters are the other basis
+    vectors, which act on T by the old tables; a product of two letters
+    drops its unit coordinate, so its coordinate k becomes
+    m_k - m_u c_k / c_u.  That term is nonzero only on a grade-0 product,
+    so the grading survives.
+
+    The budget is checked against the full bar complex, so the refusal
+    and the caller's window choice do not depend on the normalization.
+    """
     total = t.total
-    x = Bimodule(t.field, total.dim, total, total, total.mul, total.mul)
+    f = t.field
+    d = total.dim
+    required = bar_budget_estimate(d, d, L)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
     weight = [j - i for (j, i) in t.block_of]
-    return build_bar_complex(total, x, L, budget=budget,
-                             grading=(weight, weight))
+    unit = total.unit
+    u = next((k for k in sorted(unit)
+              if unit[k] != f.zero and weight[k] == 0), None)
+    # the zero algebra has 1 = 0, so there T/k.1 = T and no letter goes
+    letter = {k: i for i, k in enumerate(k for k in range(d) if k != u)}
+    scale = {k: f.div(c, unit[u]) for k, c in unit.items() if k != u}
+    mul = {}
+    for (a, b), vec in total.mul.items():
+        if a == u or b == u:
+            continue
+        out = {k: c for k, c in vec.items() if k != u}
+        if u in vec:
+            f.row_addmul(out, scale, f.neg(vec[u]))
+        if out:
+            mul[(letter[a], letter[b])] = {letter[k]: c
+                                           for k, c in out.items()}
+    # T/k.1 is no algebra; the bar builder reads only its dim and table
+    tbar = FiniteDimAlgebra(f, len(letter), mul, {}, label="T/k.1")
+    x = Bimodule(f, d, tbar, tbar,
+                 {(letter[a], m): vec for (a, m), vec in total.mul.items()
+                  if a != u},
+                 {(m, letter[a]): vec for (m, a), vec in total.mul.items()
+                  if a != u})
+    return build_bar_complex(tbar, x, L, budget=budget,
+                             grading=([weight[k] for k in letter], weight))
 
 
 # ---------------------------------------------------------------------------

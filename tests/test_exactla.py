@@ -85,9 +85,9 @@ class TestGoldens:
         sizes = []
         echelon = trihoch.exactla._echelon
 
-        def recorded(field, rowdicts):
+        def recorded(field, rowdicts, **kw):
             sizes.append(len(rowdicts))
-            return echelon(field, rowdicts)
+            return echelon(field, rowdicts, **kw)
 
         monkeypatch.setattr(trihoch.exactla, "_echelon", recorded)
         tall = [[1, 0, 2]] * 5 + [[0, 0, 0], [0, 1, 1], [1, 1, 3]]

@@ -9,8 +9,10 @@ import pytest
 
 from trihoch import (
     DEFAULT_ORACLE_BUDGET,
+    GF,
     QQ,
     Bimodule,
+    BimoduleMap,
     BudgetExceeded,
     CochainWindow,
     FiniteDimAlgebra,
@@ -27,7 +29,9 @@ from trihoch import (
     center,
     cohomology_dims,
     compute_levels,
+    parse_triangular_file,
     path_algebra,
+    validate_triangular,
 )
 
 from trihoch.hochcomplex import _check_grading, _layout, _word_window
@@ -46,6 +50,69 @@ from test_quiver import branching_quiver
 def branching_algebra(f=QQ):
     q = branching_quiver()
     return path_algebra(q, compute_levels(q), f)
+
+
+def full_bar(t, L):
+    """The unnormalized bar complex Hom(T^{(x) l}, T) of ``t``, graded like
+    ``bar_oracle``."""
+    total = t.total
+    x = Bimodule(t.field, total.dim, total, total, total.mul, total.mul)
+    weight = [j - i for (j, i) in t.block_of]
+    return build_bar_complex(total, x, L, grading=(weight, weight))
+
+
+def over_field(t, f):
+    """``t`` with every structure constant carried to the field ``f``; a
+    constant of GF(p) is read as the integer in (-p/2, p/2]."""
+    p = t.field.char
+
+    def lift(v):
+        return f.of(v - p if p and v > p // 2 else v)
+
+    def vecs(table):
+        return {k: {i: lift(v) for i, v in vec.items()}
+                for k, vec in table.items()}
+
+    diag = [FiniteDimAlgebra(f, a.dim, vecs(a.mul),
+                             {i: lift(v) for i, v in a.unit.items()})
+            for a in t.diag]
+    mods = {(j, i): Bimodule(f, m.dim, diag[j - 1], diag[i - 1],
+                             vecs(m.lact), vecs(m.ract))
+            for (j, i), m in t.mods.items()}
+    mus = {(l, j, i): BimoduleMap(mods[(l, j)], mods[(j, i)], mods[(l, i)],
+                                  vecs(mu.pair))
+           for (l, j, i), mu in t.mus.items()}
+    return TriangularAlgebra(f, t.n, diag, mods, mus)
+
+
+# A1 = k x k on the basis (e1 - e2, 2 e1 + 2 e2), A2 = k[x]/(x^2) on (5, x)
+# and M21 = A2 e1 + k e2: the unit sits on the second basis vector with
+# coefficient 1/2, and (e1 - e2)^2 has a unit coordinate, so the projection
+# to T/k.1 rescales it by the other unit coefficients.
+SCALED_TRI = """\
+algebra A1 dim 2
+unit A1 : 0 1/2
+mul A1 : 0 0 1 1/2
+mul A1 : 0 1 0 2
+mul A1 : 1 0 0 2
+mul A1 : 1 1 1 2
+algebra A2 dim 2
+unit A2 : 1/5 0
+mul A2 : 0 0 0 5
+mul A2 : 0 1 1 5
+mul A2 : 1 0 1 5
+module M21 dim 3
+lact M21 : 0 0 0 5
+lact M21 : 0 1 1 5
+lact M21 : 1 0 1 1
+lact M21 : 0 2 2 5
+ract M21 : 0 0 0 1
+ract M21 : 1 0 1 1
+ract M21 : 2 0 2 -1
+ract M21 : 0 1 0 2
+ract M21 : 1 1 1 2
+ract M21 : 2 1 2 2
+"""
 
 
 def vector_space_bimodule(f, alg, r):
@@ -146,6 +213,35 @@ class TestBarOracle:
         w = bar_oracle(nilpotent_action_algebra(), L=2)
         for l in range(w.L):
             assert w.diffs[l + 1].matmul(w.diffs[l]).nnz() == 0
+
+    def test_zero_algebra(self):
+        """1 = 0 in the zero algebra, so no letter is dropped."""
+        zero = FiniteDimAlgebra(QQ, 0, {}, {})
+        t = TriangularAlgebra(QQ, 1, [zero], {}, {})
+        assert cohomology_dims(bar_oracle(t, L=2)) == [0, 0, 0]
+
+    @staticmethod
+    def check_normalized(t, L=3):
+        """The normalized oracle has (d-1)^l d basis vectors in degree l
+        and the cohomology of the full bar complex."""
+        d = t.total.dim
+        w = bar_oracle(t, L=L)
+        assert w.dims == [(d - 1) ** l * d for l in range(L + 2)]
+        assert cohomology_dims(w) == cohomology_dims(full_bar(t, L))
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+    def test_normalized_is_the_full_bar(self, suite2, field):
+        for inst in suite2:
+            self.check_normalized(over_field(inst.t, field))
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+    def test_normalized_with_scaled_unit(self, field):
+        t = parse_triangular_file(SCALED_TRI, field)
+        assert validate_triangular(t) == []
+        assert t.total.unit[1] != field.one
+        self.check_normalized(t)
+        assert (cohomology_dims(bar_oracle(t, L=3))
+                == cohomology_dims(build_relative_complex(t, L=3)))
 
 
 class TestKeptChecks:
@@ -379,14 +475,23 @@ PINNED = {
         lambda: build_relative_complex(branching_algebra(), L=3),
         "cf723bf21f094e75f01230c4bfac8a99142dca5ebb51e3aa0eab76757f1fe667"),
     "bar-kronecker": (
-        lambda: bar_oracle(kronecker_algebra(QQ), L=2),
+        lambda: full_bar(kronecker_algebra(QQ), 2),
         "5eef3a4e79ef165a1ca377f3bc7e7c61d89c60be2350a506639674d5f3edcee2"),
     "bar-nilpotent": (
-        lambda: bar_oracle(nilpotent_action_algebra(), L=2),
+        lambda: full_bar(nilpotent_action_algebra(), 2),
         "c1ec0637c24bd524474454b402c13cd76f0e460657e3a9b34ca4fd4212a305b1"),
     "bar-branching": (
-        lambda: bar_oracle(branching_algebra(), L=2),
+        lambda: full_bar(branching_algebra(), 2),
         "380399d4684a603849a4429b87c180501bd38940c1b3cc7b745b4689dd2af321"),
+    "bar-normalized-kronecker": (
+        lambda: bar_oracle(kronecker_algebra(QQ), L=2),
+        "8ab1a997ee2a04f96f7922e648d73fbd024bc12651b5f03d0260114c60412070"),
+    "bar-normalized-nilpotent": (
+        lambda: bar_oracle(nilpotent_action_algebra(), L=2),
+        "af4948e5fa6b243637146b5ade950aff446c46d81e7a41cd6a7a817fe0399a1e"),
+    "bar-normalized-branching": (
+        lambda: bar_oracle(branching_algebra(), L=2),
+        "6a4a70241a610c67bf519ed8fa13191b1d00b6c5afeb1288550bcad81c392810"),
     "ext-residue-field": (
         _residue_field_ext,
         "45d731869feccc7f5d4b56db12e49614fe66b2e0d0e3f74677b8e96d19e8ebb1"),

@@ -5,9 +5,8 @@ spectral sequence, cross-validated against a brute-force oracle."""
 from .errors import (BudgetExceeded, InputError, InternalInvariantError,
                      OracleMismatch, TrihochError)
 from .exactla import (GF, QQ, EchelonSolver, Field, Matrix, PrimeField,
-                      RationalField, Subspace, graded_rank, image, kernel,
-                      matrix_rank, preimage, quotient_dim, rref,
-                      subspace_intersect, subspace_sum)
+                      RationalField, Subspace, graded_rank, kernel,
+                      matrix_rank, subspace_sum)
 from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra,
                       TriangularAlgebra, assemble_total, build_tensorial,
                       center, is_separable, tensor_over, validate_triangular)

@@ -61,12 +61,6 @@ class FiniteDimAlgebra:
     def basis_product(self, i, j):
         return self.mul.get((i, j), {})
 
-    def violations(self):
-        """Messages for every broken algebra axiom (empty list iff valid):
-        the check of ``validate_triangular`` on the one-level algebra."""
-        return validate_triangular(TriangularAlgebra(self.field, 1, [self],
-                                                     {}, {}))
-
     def __eq__(self, other):
         if not isinstance(other, FiniteDimAlgebra):
             return NotImplemented
@@ -131,10 +125,6 @@ class BimoduleMap:
         self.inner = inner
         self.target = target
         self.pair = pair
-
-    @classmethod
-    def zero(cls, outer, inner, target):
-        return cls(outer, inner, target, {})
 
     def pair_apply(self, y, x):
         return self.pair.get((y, x), {})
@@ -404,12 +394,8 @@ def tensor_over(mid, m, n):
         red = rel_space.reduce(vec)
         return {free_pos[c]: v for c, v in red.items()}
 
-    proj_entries = []
-    for c in range(full):
-        red = project({c: f.one})
-        for k, v in red.items():
-            proj_entries.append((k, c, v))
-    projection = Matrix.from_entries(f, qdim, full, proj_entries)
+    projection = Matrix(f, qdim, full,
+                        [project({c: f.one}) for c in range(full)])
 
     lact = {}
     for a in range(m.left_alg.dim):
@@ -543,12 +529,9 @@ def is_separable(a):
     if sol.dim == 0:
         return False
     # need some solution with mul(e) = 1: check the affine condition
-    mul_rows = [{} for _ in range(d)]
-    for i, j in itertools.product(range(d), repeat=2):
-        col = i * d + j
-        for k, c in a.basis_product(i, j).items():
-            mul_rows[k][col] = f.add(mul_rows[k].get(col, f.zero), c)
-    mul_mat = Matrix(f, d, d * d, mul_rows)
+    mul_mat = Matrix(f, d, d * d,
+                     [a.basis_product(i, j)
+                      for i, j in itertools.product(range(d), repeat=2)])
     # solve mul_mat * e = unit with e ranging over the commuting tensors
     solver = EchelonSolver(f)
     for k, v in enumerate(sol.rows):

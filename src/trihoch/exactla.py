@@ -3,29 +3,27 @@
 Scalars are plain Python values: ``int``/``Fraction`` over the rationals,
 ``int`` in ``[0, p)`` over a prime field.  A ``Field`` object supplies the
 arithmetic so the same elimination code runs over either field.  Vectors are
-sparse dicts ``{index: value}`` with no stored zero.  A matrix keeps the
-side it was built from, a list of row dicts or a list of column dicts, and
-derives the other side lazily, the first time a caller reads it: ``apply``
-and ``image`` read columns, kernels and products read rows.  Everything is
-exact: no floating point anywhere.
+sparse dicts ``{index: value}`` with no stored zero.  A matrix is a list
+of column dicts and nothing else; ``kernel`` transposes the columns into
+row dicts of its own, so the matrix it reads is never changed.  Everything
+is exact: no floating point anywhere.
 
 Subspaces are stored as reduced-row-echelon bases, which are unique, so two
 equal subspaces always have identical representations and equality is a
 plain comparison.
 
 Rank-only calls (``matrix_rank``, ``graded_rank``) eliminate the shorter
-nonempty side of a matrix, starting from the side it stores: row rank
-equals column rank, and the tall differentials of a cochain window, which
-are built from columns, hold far fewer redundant columns than redundant
-rows.  Everything that needs a basis (kernels, subspaces, the solver)
-eliminates rows.
+nonempty side of a matrix, the columns unless the rows are fewer: row
+rank equals column rank, and the tall differentials of a cochain window
+hold far fewer redundant columns than redundant rows.  Everything that
+needs a basis (kernels, subspaces, the solver) eliminates rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 
 
 # ---------------------------------------------------------------------------
@@ -207,113 +205,40 @@ def GF(p):
 # matrices
 
 
-def _transpose(lines, n):
-    """The ``n`` transposed dicts of ``lines``: columns of rows, or rows
-    of columns."""
-    out = [{} for _ in range(n)]
-    for i, line in enumerate(lines):
-        for j, v in line.items():
-            out[j][i] = v
-    return out
-
-
 class Matrix:
-    """Sparse exact matrix with two views of its entries: ``rows[r]`` maps
-    column index to nonzero entry, ``cols[c]`` maps row index to nonzero
-    entry.
+    """Sparse exact matrix stored by columns: ``cols[c]`` maps row index to
+    nonzero entry."""
 
-    The matrix stores the side it was built from and derives the other on
-    first use, so neither side may be mutated once the other has been read
-    (``apply`` reads the columns).
-    """
+    __slots__ = ("field", "nrows", "ncols", "cols")
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols", "_by_cols")
-
-    def __init__(self, field, nrows, ncols, rows=None):
+    def __init__(self, field, nrows, ncols, cols=None):
+        if cols is None:
+            cols = [{} for _ in range(ncols)]
+        if len(cols) != ncols:
+            raise InputError("column count mismatch")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        if rows is None:
-            rows = [{} for _ in range(nrows)]
-        if len(rows) != nrows:
-            raise InputError("row count mismatch")
-        self._rows = rows
-        self._cols = None
-        self._by_cols = False
-
-    @classmethod
-    def from_columns(cls, field, nrows, ncols, cols):
-        """Build from column dicts ``cols[c] = {row: value}``, no zeros."""
-        if len(cols) != ncols:
-            raise InputError("column count mismatch")
-        m = cls.__new__(cls)
-        m.field = field
-        m.nrows = nrows
-        m.ncols = ncols
-        m._rows = None
-        m._cols = cols
-        m._by_cols = True
-        return m
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = _transpose(self._cols, self.nrows)
-        return self._rows
-
-    @property
-    def cols(self):
-        if self._cols is None:
-            self._cols = _transpose(self._rows, self.ncols)
-        return self._cols
-
-    def _stored(self):
-        """The side the matrix was built from: (is it rows, its dicts)."""
-        if self._by_cols:
-            return False, self._cols
-        return True, self._rows
+        self.cols = cols
 
     @classmethod
     def from_entries(cls, field, nrows, ncols, entries):
         """Build from an iterable of (row, col, value); repeats accumulate."""
-        rows = [{} for _ in range(nrows)]
+        cols = [{} for _ in range(ncols)]
         for r, c, v in entries:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise InputError(f"matrix index ({r},{c}) out of range")
             v = field.of(v)
-            row = rows[r]
-            nv = field.add(row.get(c, field.zero), v)
+            col = cols[c]
+            nv = field.add(col.get(r, field.zero), v)
             if nv == field.zero:
-                row.pop(c, None)
+                col.pop(r, None)
             else:
-                row[c] = nv
-        return cls(field, nrows, ncols, rows)
-
-    @classmethod
-    def from_dense(cls, field, dense):
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        rows = []
-        for dr in dense:
-            if len(dr) != ncols:
-                raise InputError("ragged dense matrix")
-            row = {}
-            for c, v in enumerate(dr):
-                v = field.of(v)
-                if v != field.zero:
-                    row[c] = v
-            rows.append(row)
-        return cls(field, nrows, ncols, rows)
+                col[r] = nv
+        return cls(field, nrows, ncols, cols)
 
     def nnz(self):
-        return sum(map(len, self._stored()[1]))
-
-    def copy(self):
-        is_rows, lines = self._stored()
-        lines = [dict(x) for x in lines]
-        if is_rows:
-            return Matrix(self.field, self.nrows, self.ncols, lines)
-        return Matrix.from_columns(self.field, self.nrows, self.ncols, lines)
+        return sum(map(len, self.cols))
 
     def apply(self, vec):
         """Matrix times sparse column vector (dict over columns)."""
@@ -324,23 +249,11 @@ class Matrix:
             addmul(out, cols[c], x)
         return out
 
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise InputError("matmul shape mismatch")
-        f = self.field
-        rows = []
-        for row in self.rows:
-            acc = {}
-            for c, v in row.items():
-                f.row_addmul(acc, other.rows[c], v)
-            rows.append(acc)
-        return Matrix(f, self.nrows, other.ncols, rows)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field is other.field and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self.cols == other.cols)
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}, nnz={self.nnz()})"
@@ -379,9 +292,9 @@ def _echelon(field, rowdicts, owned=True):
 
 
 def _rank(field, lines):
-    """Rank of the nonempty dicts ``lines``, the rows or the columns of a
-    matrix, which are left unchanged; found by eliminating them or their
-    transposes, whichever are fewer."""
+    """Rank of the nonempty columns ``lines`` of a matrix, which are left
+    unchanged; found by eliminating them or the rows they make, whichever
+    are fewer."""
     other = set().union(*lines)
     if len(other) >= len(lines):
         return len(_echelon(field, lines, owned=False))
@@ -394,7 +307,7 @@ def _rank(field, lines):
 
 def matrix_rank(m):
     """Rank, by sparse forward elimination only (no canonical form built)."""
-    return _rank(m.field, [x for x in m._stored()[1] if x])
+    return _rank(m.field, [x for x in m.cols if x])
 
 
 def graded_rank(m, row_keys):
@@ -405,12 +318,10 @@ def graded_rank(m, row_keys):
     has the grade of any of its rows, the rank is the sum of the per-grade
     ranks and each elimination stays small.
     """
-    is_rows, lines = m._stored()
     groups = {}
-    for i, x in enumerate(lines):
+    for x in m.cols:
         if x:
-            key = row_keys[i] if is_rows else row_keys[next(iter(x))]
-            groups.setdefault(key, []).append(x)
+            groups.setdefault(row_keys[next(iter(x))], []).append(x)
     return sum(_rank(m.field, xs) for xs in groups.values())
 
 
@@ -434,13 +345,6 @@ def _canonical_rows(field, rowdicts):
         for c2 in sorted(k for k in row if k != c and k in pivots):
             addmul(row, pivots[c2], neg(row[c2]))
     return [pivots[c] for c in cols], cols
-
-
-def rref(m):
-    """Reduced row-echelon form of ``m`` (same shape) and its pivot columns."""
-    rows, pivots = _canonical_rows(m.field, [dict(r) for r in m.rows if r])
-    rows = rows + [{} for _ in range(m.nrows - len(rows))]
-    return Matrix(m.field, m.nrows, m.ncols, rows), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +382,6 @@ class Subspace:
     def zero(cls, field, ambient_dim):
         return cls(field, ambient_dim, [], [])
 
-    @classmethod
-    def full(cls, field, ambient_dim):
-        rows = [{i: field.one} for i in range(ambient_dim)]
-        return cls(field, ambient_dim, rows, list(range(ambient_dim)))
-
     @property
     def dim(self):
         return len(self.rows)
@@ -500,30 +399,6 @@ class Subspace:
     def contains_vector(self, vec):
         return not self.reduce(vec)
 
-    def contains(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise InputError("ambient dimension mismatch")
-        return all(self.contains_vector(v) for v in other.rows)
-
-    def check_matrix(self):
-        """Matrix K with kernel exactly this subspace ((ambient-dim) rows).
-
-        Row for each non-pivot coordinate c: x[c] - sum_i basis_i[c]*x[pivot_i].
-        """
-        f = self.field
-        pivset = set(self.pivots)
-        rows = []
-        for c in range(self.ambient_dim):
-            if c in pivset:
-                continue
-            row = {c: f.one}
-            for pc, b in zip(self.pivots, self.rows):
-                v = b.get(c)
-                if v is not None:
-                    row[pc] = f.neg(v)
-            rows.append(row)
-        return Matrix(f, len(rows), self.ambient_dim, rows)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -535,9 +410,14 @@ class Subspace:
 
 
 def kernel(m):
-    """Kernel of ``m`` as a canonical Subspace of the column space."""
+    """Kernel of ``m`` as a canonical Subspace of the column space, found by
+    eliminating row dicts transposed from the columns (``m`` is unchanged)."""
     f = m.field
-    red, pivots = _canonical_rows(f, [dict(r) for r in m.rows if r])
+    rows = [{} for _ in range(m.nrows)]
+    for c, col in enumerate(m.cols):
+        for r, v in col.items():
+            rows[r][c] = v
+    red, pivots = _canonical_rows(f, [r for r in rows if r])
     pivset = set(pivots)
     free = {c: {c: f.one} for c in range(m.ncols) if c not in pivset}
     # an RREF row is zero at every other pivot column, so its entries off
@@ -549,44 +429,10 @@ def kernel(m):
     return Subspace.from_vectors(f, m.ncols, list(free.values()))
 
 
-def image(m):
-    """Column space of ``m`` as a canonical Subspace of the row space."""
-    return Subspace.from_vectors(m.field, m.nrows, m.cols)
-
-
 def subspace_sum(u, v):
     if u.ambient_dim != v.ambient_dim:
         raise InputError("ambient dimension mismatch in subspace sum")
     return Subspace.from_vectors(u.field, u.ambient_dim, list(u.rows) + list(v.rows))
-
-
-def subspace_intersect(u, v):
-    if u.ambient_dim != v.ambient_dim:
-        raise InputError("ambient dimension mismatch in subspace intersection")
-    ku = u.check_matrix()
-    kv = v.check_matrix()
-    stacked = Matrix(u.field, ku.nrows + kv.nrows, u.ambient_dim,
-                     [dict(r) for r in ku.rows] + [dict(r) for r in kv.rows])
-    return kernel(stacked)
-
-
-def preimage(m, v):
-    """{x : m x in v} as a canonical Subspace of the domain of ``m``."""
-    if v.ambient_dim != m.nrows:
-        raise InputError("preimage: subspace does not live in the codomain")
-    k = v.check_matrix()
-    return kernel(k.matmul(m))
-
-
-def quotient_dim(u, v):
-    """dim(u/v); requires v to be contained in u."""
-    if v.ambient_dim != u.ambient_dim:
-        raise InputError("ambient dimension mismatch in quotient")
-    if not u.contains(v):
-        raise InternalInvariantError(
-            "quotient_dim called with a subspace that is not contained in the "
-            "ambient one (caller logic error)")
-    return u.dim - v.dim
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +480,3 @@ class EchelonSolver:
         if lead is not None:
             return None
         return {t: f.neg(c) for t, c in combo.items()}
-
-    @property
-    def rank(self):
-        return len(self.pivots)

@@ -177,9 +177,8 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
     each as a sparse vector.  A term whose column cell is absent is zero.
 
     Each differential delta_l is accumulated straight into its column
-    dicts, one ``_emit`` batch per term and cell, and stored as a
-    column-built ``Matrix``; its rows are derived only if a caller reads
-    them.
+    dicts, one ``_emit`` batch per term and cell, which become its
+    ``Matrix``.
     """
     neg = f.neg
     cells = [[c for c, _ in lay.values()] for lay in layout]
@@ -229,7 +228,7 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
                        for xo, c in vec.items()],
                       _bases(cell.offset, col.mdim, slots[-1], 1, x, 1),
                       _bases(col.offset, col.mdim, 1, 1, col.xdim, 1))
-        diffs.append(Matrix.from_columns(f, nrows, dims[l], columns))
+        diffs.append(Matrix(f, nrows, dims[l], columns))
     tags = None
     if tagged:
         tags = [[c.tag for c in cs for _ in range(c.dim)] for cs in cells]

@@ -67,11 +67,10 @@ class FilteredComplex:
             out = Subspace.from_vectors(
                 f, dim_l, [{c: f.one} for c in cols])
         else:
-            # slice the stored columns: a column-built differential never
-            # derives its full row view
+            # the columns of the members, cut down to the kill rows
             pos = {k: i for i, k in enumerate(kill_rows)}
             dcols = w.diffs[l].cols
-            sub = Matrix.from_columns(
+            sub = Matrix(
                 f, len(kill_rows), len(cols),
                 [{pos[k]: v for k, v in dcols[c].items() if k in pos}
                  for c in cols])
@@ -194,8 +193,10 @@ def compute_page(fc, r):
         src_reps = page.reps[(p, q)]
         tp, tq = p + r, q - r + 1
         tdim = page.dims.get((tp, tq), 0)
-        rows = [{} for _ in range(tdim)]
-        for cidx, v in enumerate(src_reps):
+        cols = []
+        for v in src_reps:
+            col = {}
+            cols.append(col)
             image = w.diffs[l].apply(v)
             if not image:
                 continue
@@ -208,8 +209,8 @@ def compute_page(fc, r):
                     "page differential image is not a cycle at its target")
             for tag, c in combo.items():
                 if tag[0] == "r" and c != f.zero:
-                    rows[tag[1]][cidx] = c
-        page.d[(p, q)] = Matrix(f, tdim, len(src_reps), rows)
+                    col[tag[1]] = c
+        page.d[(p, q)] = Matrix(f, tdim, len(src_reps), cols)
     return page
 
 
@@ -482,9 +483,8 @@ def _is_tensorial_3(t):
     d21 = m21.dim if m21 else 0
     d31 = m31.dim if m31 else 0
     if d31 == 0:
-        quotient_dim = 0 if (d32 == 0 or d21 == 0) else \
-            tensor_over(t.diag[1], m32, m21)[0].dim
-        return quotient_dim == 0
+        return (d32 == 0 or d21 == 0
+                or tensor_over(t.diag[1], m32, m21)[0].dim == 0)
     mu = t.mu(3, 2, 1)
     if mu is None or d32 == 0 or d21 == 0:
         return False

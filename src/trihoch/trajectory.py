@@ -209,13 +209,6 @@ class TrajectoryBasis:
             k += x * stride
         return k
 
-    def component_tuple(self, flat):
-        out = []
-        for stride in self._strides:
-            q, flat = divmod(flat, stride)
-            out.append(q)
-        return tuple(out)
-
     def tuples(self):
         return itertools.product(*(range(d) for d in self.slot_dims))
 

@@ -1,4 +1,5 @@
-"""Shared bench of triangular-algebra instances for the test suites.
+"""Shared bench of triangular-algebra instances for the test suites, and
+the linear-algebra checks several suites share.
 
 Everything random is drawn from a caller-supplied ``random.Random`` so the
 suites are reproducible; the seed lives in conftest.  Builders return fully
@@ -11,10 +12,12 @@ from trihoch import (
     QQ,
     Bimodule,
     FiniteDimAlgebra,
+    Matrix,
     Quiver,
     TriangularAlgebra,
     build_tensorial,
     compute_levels,
+    kernel,
     path_algebra,
 )
 
@@ -187,3 +190,24 @@ def hand_coded_instances():
                                   [FiniteDimAlgebra.dual_numbers(QQ)],
                                   {}, {})))
     return out
+
+
+# ---------------------------------------------------------------------------
+# shared linear-algebra checks
+
+
+def assert_composes_to_zero(second, first, label=None):
+    """second o first = 0: ``second`` applied to every column of ``first``
+    gives the zero vector."""
+    assert second.ncols == first.nrows, label
+    for c, col in enumerate(first.cols):
+        assert not second.apply(col), (label, c)
+
+
+def intersection_dim(u, v):
+    """dim(u & v) for two subspaces of one space: the nullity of the matrix
+    [U | -V] whose columns are u's basis and the negated basis of v, since
+    both bases are independent."""
+    f = u.field
+    cols = list(u.rows) + [{k: f.neg(x) for k, x in b.items()} for b in v.rows]
+    return kernel(Matrix(f, u.ambient_dim, len(cols), cols)).dim

@@ -5,6 +5,7 @@ and the degeneration checks."""
 import pytest
 
 from trihoch import (
+    GF,
     QQ,
     BimoduleMap,
     FiniteDimAlgebra,
@@ -32,12 +33,14 @@ from trihoch import (
 
 from instances import (
     FP,
+    assert_composes_to_zero,
     chain_algebra,
     embedding,
     free_bimodule,
     nilpotent_action_algebra,
     thin_bimodule,
 )
+from test_hochcomplex import over_field
 from test_quiver import branching_quiver
 
 
@@ -153,7 +156,7 @@ class TestPageRecurrence:
             for (p, q), m1 in page.d.items():
                 m2 = page.d.get((p + r, q - r + 1))
                 if m2 is not None:
-                    assert m2.matmul(m1).nnz() == 0
+                    assert_composes_to_zero(m2, m1, (r, p, q))
 
     def test_representatives_express_as_unit_classes(self, filtered):
         page = compute_page(filtered, 1)
@@ -172,6 +175,22 @@ def test_class_coords_rejects_non_cycle(branching, branching_pages):
                if delta0.cols[c])
     with pytest.raises(InputError, match="not a cycle"):
         page2.class_coords(0, 0, bad)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_pages_leave_the_window_unchanged(suite2, field):
+    """Every report reads one shared window, and ``kernel`` eliminates
+    transposed copies of the columns it reads: paging r = 0..n and ranking
+    leave every differential as it was built."""
+    for inst in suite2:
+        fc = build_filtered(over_field(inst.t, field), L=3)
+        w = fc.window
+        before = [[dict(c) for c in d.cols] for d in w.diffs]
+        for r in range(fc.n + 1):
+            compute_page(fc, r)
+        cohomology_dims(w)
+        assert [[dict(c) for c in d.cols] for d in w.diffs] == before, \
+            inst.name
 
 
 class TestE1Structure:
@@ -328,8 +347,8 @@ class TestDegeneration:
 
     def test_refuses_non_tensorial(self):
         t = chain_algebra(3, QQ)
-        t.mus[(3, 2, 1)] = BimoduleMap.zero(t.module(3, 2), t.module(2, 1),
-                                            t.module(3, 1))
+        t.mus[(3, 2, 1)] = BimoduleMap(t.module(3, 2), t.module(2, 1),
+                                       t.module(3, 1), {})
         with pytest.raises(InputError, match="tensorial"):
             check_degeneration_A2k(t)
 

@@ -378,15 +378,14 @@ def _pages_section(t, fc, L, emit):
     return lines
 
 
-def _hochschild_section(hh, L, emit):
-    vals = hh[:L]
+def _hochschild_section(hh, emit):
     if emit == "tsv":
-        return [f"hochschild\t-\t-\t{l}\t{v}" for l, v in enumerate(vals)]
-    return ["HH: " + " ".join(str(v) for v in vals), ""]
+        return [f"hochschild\t-\t-\t{l}\t{v}" for l, v in enumerate(hh)]
+    return ["HH: " + " ".join(str(v) for v in hh), ""]
 
 
-def _e1_section(t, L, emit):
-    rep = e1_structure_report(t, L)
+def _e1_section(t, fc, emit):
+    rep = e1_structure_report(t, fc)
     hyp = "detected" if rep["projective_hypothesis"] else "not-detected"
     lines = []
     if emit == "tsv":
@@ -445,8 +444,8 @@ def _oracle_section(t, hh, L, budget, emit):
     return lines
 
 
-def _degeneration_section(t, L, emit):
-    rep = check_degeneration_A2k(t, L)
+def _degeneration_section(t, fc, emit):
+    rep = check_degeneration_A2k(t, fc)
     if rep["a2_one_dimensional"] and not rep["d2_zero"]:
         raise InternalInvariantError(
             "second-page differential did not vanish for a tensorial "
@@ -475,26 +474,27 @@ def _degeneration_section(t, L, emit):
 
 def run_job(job):
     """Execute one job and return the full report text; raises on any
-    input, invariant, or oracle failure without emitting partial output."""
+    input, invariant, or oracle failure without emitting partial output.
+    Every report reads one filtered window, built through degree L+1, and
+    its caches; delta_0..delta_{L-1} are ranked for HH^0..HH^{L-1} only."""
     t = _build_algebra(job)
     L = job.max_degree
-    needs_window = any(r in job.reports
-                       for r in ("pages", "hochschild", "oracle-check"))
-    fc = build_filtered(t, L) if needs_window else None
-    hh = cohomology_dims(fc.window) if fc is not None else None
+    fc = build_filtered(t, L)
+    hh = (cohomology_dims(fc.window, top=L - 1)
+          if {"hochschild", "oracle-check"} & set(job.reports) else None)
 
     sections = []
     for rep in job.reports:
         if rep == "pages":
             sections += _pages_section(t, fc, L, job.emit)
         elif rep == "hochschild":
-            sections += _hochschild_section(hh, L, job.emit)
+            sections += _hochschild_section(hh, job.emit)
         elif rep == "e1-structure":
-            sections += _e1_section(t, L, job.emit)
+            sections += _e1_section(t, fc, job.emit)
         elif rep == "oracle-check":
             sections += _oracle_section(t, hh, L, job.oracle_budget, job.emit)
         elif rep == "degeneration-check":
-            sections += _degeneration_section(t, L, job.emit)
+            sections += _degeneration_section(t, fc, job.emit)
     while sections and sections[-1] == "":
         sections.pop()
     return "\n".join(sections) + "\n"

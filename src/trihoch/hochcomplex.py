@@ -90,19 +90,17 @@ class CochainWindow:
         return f"CochainWindow(L={self.L}, dims {self.dims})"
 
 
-def cohomology_dims(w):
-    """Cohomology dimensions in degrees 0..L, the window's reliable range
-    (each degree needs both neighboring differentials, and degree L is the
-    last with its outgoing differential built).
+def cohomology_dims(w, top=None):
+    """Cohomology dimensions in degrees 0..top, by default 0..L, the
+    window's reliable range (each degree needs both neighboring
+    differentials, and degree L is the last with its outgoing differential
+    built).  Only delta_0..delta_top are ranked.
 
     dim H^l = dim C^l - rank delta_l - rank delta_{l-1}.
     """
-    out = []
-    ranks = [w.rank_of_delta(l) for l in range(w.L + 1)]
-    for l in range(w.L + 1):
-        below = ranks[l - 1] if l >= 1 else 0
-        out.append(w.dims[l] - ranks[l] - below)
-    return out
+    top = w.L if top is None else top
+    ranks = [0] + [w.rank_of_delta(l) for l in range(top + 1)]
+    return [w.dims[l] - ranks[l + 1] - ranks[l] for l in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------

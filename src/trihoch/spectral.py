@@ -241,17 +241,17 @@ def chain_module(t, chain):
     return cur
 
 
-def e1_structure_report(t, L=4):
+def e1_structure_report(t, fc):
     """Compute every labeled summand of the first page independently
     (bar complexes of the diagonal algebras for column 0, reduced Ext
     complexes of chain tensor products for the higher columns), compare
-    with the machinery page, and report cell-by-cell agreement.
+    with page 1 of ``fc``, the filtered window of t, and report
+    cell-by-cell agreement over its degrees 0..fc.window.L.
 
     Also reports whether the projectivity hypothesis behind the labeled
     description was detected (all strictly intermediate diagonal algebras
     separable)."""
-    n = t.n
-    fc = build_filtered(t, L)
+    n, L = t.n, fc.window.L
     page = compute_page(fc, 1)
 
     hypothesis = all(is_separable(t.diag[i - 1]) for i in range(2, n))
@@ -492,8 +492,9 @@ def _is_tensorial_3(t):
     return (matrix_rank(mu.matrix) == d31 and quotient.dim == d31)
 
 
-def check_degeneration_A2k(t, L=4):
-    """Degeneration checks for a tensorial three-level algebra.
+def check_degeneration_A2k(t, fc):
+    """Degeneration checks for a tensorial three-level algebra t, made on
+    ``fc``, its filtered window, in degrees up to fc.window.L.
 
     When the middle algebra is one-dimensional, asserts that the second
     differential vanishes on every reliable cell (the sequence
@@ -510,8 +511,8 @@ def check_degeneration_A2k(t, L=4):
         raise InputError(
             "degeneration check requires a tensorial algebra: the wide "
             "block must be the balanced tensor product of the adjacent ones")
-    fc = build_filtered(t, L)
     w = fc.window
+    L = w.L
     a2_is_field = (t.diag[1].dim == 1)
 
     report = {

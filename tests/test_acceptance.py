@@ -140,13 +140,13 @@ def test_criterion_5_degeneration(degeneration_suite):
     mid_one, mid_wide = degeneration_suite
     assert len(mid_one) >= 5 and len(mid_wide) >= 5
     for t in mid_one:
-        rep = check_degeneration_A2k(t)
+        rep = check_degeneration_A2k(t, build_filtered(t, 4))
         assert rep["tensorial"]
         assert rep["a2_one_dimensional"]
         assert rep["d2_zero"] is True
         assert rep["outer_classes_vanish"]
     for t in mid_wide:
-        rep = check_degeneration_A2k(t)
+        rep = check_degeneration_A2k(t, build_filtered(t, 4))
         assert rep["tensorial"]
         assert not rep["a2_one_dimensional"]
         assert rep["d2_zero"] is None

@@ -9,6 +9,8 @@ import weakref
 import pytest
 
 import trihoch.cli as cli
+import trihoch.hochcomplex as hochcomplex
+import trihoch.spectral as spectral
 from trihoch.cli import (
     JobSpec, emit_quiver, emit_simplicial, emit_triangular, main,
     parse_field, parse_quiver_file, parse_simplicial_file,
@@ -421,3 +423,83 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_job", boom)
         assert run([str(p)]) == \
             (3, "", "error: relative and bar answers differ\n")
+
+
+ALL_REPORTS = ("pages", "hochschild", "oracle-check", "e1-structure",
+               "degeneration-check")
+
+
+class TestSharedWindow:
+    """Every report of a job reads one filtered window and its caches."""
+
+    # the tetrahedron is left out: its pages alone take over 10 s at L=3
+    @pytest.mark.parametrize("field", ["rat", "fp:32003"])
+    @pytest.mark.parametrize("name", [
+        "branching4.quiver", "branching4.tri", "chain3.quiver",
+        "kronecker.quiver", "triangle_boundary.simplicial",
+        "two_by_two.tri"])
+    def test_report_set_changes_no_report(self, name, field):
+        """Each report's section is the same alone and inside the list of
+        every report the input accepts, whatever the others left cached."""
+        def job(reports):
+            return run_job(JobSpec(read(name), field=parse_field(field),
+                                   max_degree=3, reports=reports))
+
+        alone = {}
+        for rep in ALL_REPORTS:
+            try:
+                alone[rep] = job((rep,))
+            except InputError:
+                assert rep == "degeneration-check", (name, rep)
+        assert len(alone) >= 4
+        # table sections end in a blank line, which only the last drops
+        assert job(tuple(alone)) == "\n".join(alone.values())
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the relative complexes built and the (window, degree) of
+        every rank taken."""
+        built, ranked = [], []
+        build = hochcomplex.build_relative_complex
+        rank = hochcomplex.CochainWindow.rank_of_delta
+
+        def counted_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def counted_rank(w, l):
+            ranked.append((w, l))
+            return rank(w, l)
+
+        for mod in (hochcomplex, spectral):
+            monkeypatch.setattr(mod, "build_relative_complex", counted_build)
+        monkeypatch.setattr(hochcomplex.CochainWindow, "rank_of_delta",
+                            counted_rank)
+        return built, ranked
+
+    def test_all_reports_build_one_window(self, monkeypatch):
+        built, ranked = self.spy(monkeypatch)
+        code, out, _ = run([str(DATA / "branching4.tri"), "--max-degree", "3",
+                            "--report", ",".join(ALL_REPORTS)])
+        assert code == 0 and "HH: 1 6 0" in out
+        assert len(built) == 1
+        assert sorted(l for w, l in ranked if w is built[0]) == [0, 1, 2]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_hochschild_ranks_below_top_degree(self, monkeypatch, L):
+        built, ranked = self.spy(monkeypatch)
+        code, out, _ = run([str(DATA / "branching4.tri"),
+                            "--max-degree", str(L), "--report", "hochschild"])
+        assert code == 0 and out.startswith("HH: ")
+        assert len(built) == 1
+        assert [(w is built[0], l) for w, l in ranked] == \
+            [(True, l) for l in range(L)]
+
+    @pytest.mark.parametrize("report", [
+        "pages", "e1-structure", "degeneration-check"])
+    def test_reports_without_hh_rank_nothing(self, monkeypatch, report):
+        built, ranked = self.spy(monkeypatch)
+        code, _, _ = run([str(DATA / "branching4.tri"), "--max-degree", "3",
+                          "--report", report])
+        assert code == 0 and len(built) == 1
+        assert [l for w, l in ranked if w is built[0]] == []

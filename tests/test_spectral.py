@@ -196,7 +196,7 @@ def test_pages_leave_the_window_unchanged(suite2, field):
 class TestE1Structure:
     def test_branching_labeled_row(self, branching):
         t, _ = branching
-        report = e1_structure_report(t)
+        report = e1_structure_report(t, build_filtered(t, 4))
         assert report["projective_hypothesis"]
         assert report["all_agree"]
         cells = report["cells"]
@@ -213,14 +213,15 @@ class TestE1Structure:
 
     def test_path_algebra_positive_rows_vanish(self):
         t = chain_algebra(3, QQ)
-        report = e1_structure_report(t)
+        report = e1_structure_report(t, build_filtered(t, 4))
         assert report["projective_hypothesis"] and report["all_agree"]
         for (p, q), cell in report["cells"].items():
             if q > 0:
                 assert cell["labeled_total"] == 0
 
     def test_two_level_case(self):
-        report = e1_structure_report(nilpotent_action_algebra())
+        t = nilpotent_action_algebra()
+        report = e1_structure_report(t, build_filtered(t, 4))
         assert report["projective_hypothesis"]  # no intermediate algebras
         assert report["all_agree"]
         cells = report["cells"]
@@ -232,7 +233,7 @@ class TestE1Structure:
     def test_single_level_reduces_to_bar(self):
         t = TriangularAlgebra(QQ, 1,
                               [FiniteDimAlgebra.dual_numbers(QQ)], {}, {})
-        report = e1_structure_report(t)
+        report = e1_structure_report(t, build_filtered(t, 4))
         assert report["all_agree"]
         cells = report["cells"]
         assert set(cells) == {(0, q) for q in range(5)}
@@ -246,7 +247,7 @@ class TestE1Structure:
         t = build_tensorial([k1, mid, k3],
                             [thin_bimodule(FP, mid, k1),
                              thin_bimodule(FP, k3, mid)])
-        report = e1_structure_report(t, L=2)
+        report = e1_structure_report(t, build_filtered(t, 2))
         assert not report["projective_hypothesis"]
 
 
@@ -318,7 +319,7 @@ class TestCupProducts:
 class TestDegeneration:
     def test_branching_degenerates_at_page_two(self, branching):
         t, _ = branching
-        report = check_degeneration_A2k(t)
+        report = check_degeneration_A2k(t, build_filtered(t, 4))
         assert report["tensorial"]
         assert report["a2_one_dimensional"]
         assert report["d2_zero"]
@@ -334,7 +335,7 @@ class TestDegeneration:
                             [free_bimodule(FP, sq, k1),
                              free_bimodule(FP, k3, sq)])
         assert validate_triangular(t) == []
-        report = check_degeneration_A2k(t)
+        report = check_degeneration_A2k(t, build_filtered(t, 4))
         assert report["tensorial"]
         assert not report["a2_one_dimensional"]
         assert report["d2_zero"] is None
@@ -343,20 +344,21 @@ class TestDegeneration:
     def test_refuses_other_level_counts(self):
         with pytest.raises(InputError,
                            match="exactly three levels, got 2"):
-            check_degeneration_A2k(nilpotent_action_algebra())
+            t = nilpotent_action_algebra()
+            check_degeneration_A2k(t, build_filtered(t, 4))
 
     def test_refuses_non_tensorial(self):
         t = chain_algebra(3, QQ)
         t.mus[(3, 2, 1)] = BimoduleMap(t.module(3, 2), t.module(2, 1),
                                        t.module(3, 1), {})
         with pytest.raises(InputError, match="tensorial"):
-            check_degeneration_A2k(t)
+            check_degeneration_A2k(t, build_filtered(t, 4))
 
     def test_detects_tensoriality_from_structure(self):
         # the chain path algebra is tensorial even without the marker
         t = chain_algebra(3, QQ)
         assert t.tensorial_adjacent is None
-        report = check_degeneration_A2k(t)
+        report = check_degeneration_A2k(t, build_filtered(t, 4))
         assert report["tensorial"] and report["d2_zero"]
 
 

@@ -6,7 +6,7 @@ from .errors import (BudgetExceeded, InputError, InternalInvariantError,
                      OracleMismatch, TrihochError)
 from .exactla import (GF, QQ, EchelonSolver, Field, Matrix, PrimeField,
                       RationalField, Subspace, graded_rank, kernel,
-                      matrix_rank, subspace_sum)
+                      matrix_rank)
 from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra,
                       TriangularAlgebra, assemble_total, build_tensorial,
                       center, is_separable, tensor_over, validate_triangular)

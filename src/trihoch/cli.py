@@ -41,7 +41,7 @@ from .hochcomplex import (DEFAULT_ORACLE_BUDGET, bar_budget_estimate,
 from .quiver import (Quiver, SimplicialComplex, compute_levels, incidence_algebra,
                      path_algebra)
 from .spectral import (build_filtered, check_degeneration_A2k, compute_page,
-                       e1_structure_report)
+                       e1_structure_report, require_degeneration_hypotheses)
 
 KNOWN_REPORTS = ("pages", "hochschild", "e1-structure", "oracle-check",
                  "degeneration-check")
@@ -476,8 +476,12 @@ def run_job(job):
     """Execute one job and return the full report text; raises on any
     input, invariant, or oracle failure without emitting partial output.
     Every report reads one filtered window, built through degree L+1, and
-    its caches; delta_0..delta_{L-1} are ranked for HH^0..HH^{L-1} only."""
+    its caches; delta_0..delta_{L-1} are ranked for HH^0..HH^{L-1} only.
+    A degeneration check the algebra does not satisfy is refused before
+    the window is built."""
     t = _build_algebra(job)
+    if "degeneration-check" in job.reports:
+        require_degeneration_hypotheses(t)
     L = job.max_degree
     fc = build_filtered(t, L)
     hh = (cohomology_dims(fc.window, top=L - 1)

@@ -396,9 +396,6 @@ class Subspace:
                 f.row_addmul(out, row, f.neg(x))
         return out
 
-    def contains_vector(self, vec):
-        return not self.reduce(vec)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -429,12 +426,6 @@ def kernel(m):
     return Subspace.from_vectors(f, m.ncols, list(free.values()))
 
 
-def subspace_sum(u, v):
-    if u.ambient_dim != v.ambient_dim:
-        raise InputError("ambient dimension mismatch in subspace sum")
-    return Subspace.from_vectors(u.field, u.ambient_dim, list(u.rows) + list(v.rows))
-
-
 # ---------------------------------------------------------------------------
 # incremental solver
 
@@ -443,8 +434,9 @@ class EchelonSolver:
     """Incremental elimination that remembers how each pivot was formed.
 
     Vectors are fed with tags; ``express`` then writes any vector of the
-    accumulated span as a tagged linear combination of the fed vectors.
-    Used for representative lifting and class-coordinate solving.
+    accumulated span as a tagged linear combination of the fed vectors,
+    modulo the span of the vectors fed without a tag.  Used for
+    representative lifting and class-coordinate solving.
     """
 
     def __init__(self, field):
@@ -465,16 +457,19 @@ class EchelonSolver:
             f.row_addmul(combo, pcombo, factor)
         return v, combo, None
 
-    def add(self, vec, tag):
-        """Feed a vector; returns True if it enlarged the span."""
-        v, combo, lead = self._reduce(vec, {tag: self.field.one})
+    def add(self, vec, tag=None):
+        """Feed a vector; returns True if it enlarged the span.  An
+        untagged vector is divided out of every combination."""
+        combo = {} if tag is None else {tag: self.field.one}
+        v, combo, lead = self._reduce(vec, combo)
         if lead is None:
             return False
         self.pivots[lead] = (v, combo)
         return True
 
     def express(self, vec):
-        """Coefficients {tag: coeff} with vec = sum coeff * fed[tag], or None."""
+        """Coefficients {tag: coeff} with vec - sum coeff * fed[tag] in the
+        span of the untagged vectors, or None if vec is outside the span."""
         f = self.field
         residual, combo, lead = self._reduce(vec, {})
         if lead is not None:

@@ -3,8 +3,9 @@ page differentials, the cup-product form of the first differential, and
 degeneration checks for tensorial three-level algebras.
 
 Everything is computed from the filtered cochain window by the standard
-cycle/boundary subspace formulas; representatives are chosen by pivot
-extension over canonical bases, so all matrices are deterministic.
+cycle/boundary formulas; one solver per page cell divides out the
+denominator and picks representatives from the canonical cycle basis by
+pivot extension, so all matrices are deterministic.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from itertools import combinations
 
 from .algebra import Bimodule, is_separable, tensor_over
 from .errors import InputError, InternalInvariantError
-from .exactla import (EchelonSolver, Matrix, Subspace, kernel, matrix_rank,
-                      subspace_sum)
+from .exactla import EchelonSolver, Matrix, Subspace, kernel, matrix_rank
 from .hochcomplex import (build_bar_complex, build_ext_complex,
                           build_relative_complex, cohomology_dims)
 from .trajectory import Jump, Stay, Trajectory, TrajectoryBasis
@@ -27,9 +27,10 @@ class FilteredComplex:
     Cycle subspaces Z_r^{p,q} = F^p C^l with boundary inside F^(p+r)
     (indices below 0 clamped to the full space, at or above n to zero)
     are computed as kernels of tag-restricted submatrices and cached.
+    Page denominators are spanned by such bases and ``boundaries``.
     """
 
-    __slots__ = ("window", "n", "_zcache", "_bcache")
+    __slots__ = ("window", "n", "_zcache")
 
     def __init__(self, window, n):
         if window.tags is None:
@@ -37,7 +38,6 @@ class FilteredComplex:
         self.window = window
         self.n = n
         self._zcache = {}
-        self._bcache = {}
 
     def members(self, l, lo):
         """Basis indices of C^l with tag >= lo, ascending."""
@@ -81,27 +81,14 @@ class FilteredComplex:
         self._zcache[key] = out
         return out
 
-    def boundary_space(self, p, r, l):
-        """delta(Z_{r-1}^{p-r+1, *}) inside C^l, the boundary part of the
-        page-r denominator at column p."""
-        w = self.window
+    def boundaries(self, p, r, l):
+        """delta of the basis of Z_{r-1}^{p-r+1, *}: vectors of C^l that
+        span the boundary part of the page-r denominator at column p."""
         if l == 0:
-            return Subspace.zero(w.field, w.dims[0])
-        key = (p, r, l)
-        cached = self._bcache.get(key)
-        if cached is not None:
-            return cached
-        z = self.z_space(p - r + 1, r - 1, l - 1)
-        delta = w.diffs[l - 1]
-        vecs = [delta.apply(row) for row in z.rows]
-        out = Subspace.from_vectors(w.field, w.dims[l], vecs)
-        self._bcache[key] = out
-        return out
-
-    def denominator(self, p, r, l):
-        """The full denominator of E_r at column p, total degree l."""
-        return subspace_sum(self.z_space(p + 1, r - 1, l),
-                            self.boundary_space(p, r, l))
+            return []
+        delta = self.window.diffs[l - 1]
+        return [delta.apply(row)
+                for row in self.z_space(p - r + 1, r - 1, l - 1).rows]
 
 
 def build_filtered(t, L=4):
@@ -115,7 +102,8 @@ class SpectralPage:
     dims[(p, q)] is defined for p+q <= L; d[(p, q)] (the matrix of d_r
     into cell (p+r, q-r+1), acting on chosen class representatives) for
     p+q <= L-1.  reps[(p, q)] lists the representative cocycles behind
-    the matrix columns.
+    the matrix columns; each cell's solver divides out its denominator
+    and reads class coordinates over them.
     """
 
     __slots__ = ("r", "n", "L", "dims", "d", "reps", "_solvers")
@@ -132,14 +120,12 @@ class SpectralPage:
     def class_coords(self, p, q, vec):
         """Coordinates of a cycle's class over the cell's representatives;
         raises if the vector is not a cycle of this cell."""
-        solver, ntags = self._solvers[(p, q)]
-        combo = solver.express(vec)
+        combo = self._solvers[(p, q)].express(vec)
         if combo is None:
             raise InputError("vector is not a cycle at this cell")
-        out = [0] * ntags
-        for tag, c in combo.items():
-            if isinstance(tag, tuple) and tag[0] == "r":
-                out[tag[1]] = c
+        out = [0] * self.dims[(p, q)]
+        for k, c in combo.items():
+            out[k] = c
         return out
 
     def __repr__(self):
@@ -151,8 +137,10 @@ def compute_page(fc, r):
     for every cell with p+q <= L, differentials for p+q <= L-1.
 
     E_r = Z_r / (Z_{r-1} one column up + boundaries from r-1 columns
-    down); d_r lifts a class representative, applies the differential,
-    and re-expresses the result in the target cell's classes.
+    down).  A cell's solver divides out the denominator's spanning vectors,
+    fed untagged; the rows of Z_r that still enlarge its span, tagged
+    0, 1, ..., are the representatives.  d_r applies the differential to
+    a representative and re-expresses the result in the target's classes.
     """
     if r < 0:
         raise InputError("page index must be nonnegative")
@@ -168,22 +156,20 @@ def compute_page(fc, r):
     for (p, q) in cells:
         l = p + q
         num = fc.z_space(p, r, l)
-        den = fc.denominator(p, r, l)
         solver = EchelonSolver(f)
-        for k, row in enumerate(den.rows):
-            if not solver.add(dict(row), ("d", k)):
-                raise InternalInvariantError(
-                    "denominator basis unexpectedly dependent")
+        den = 0
+        for vec in fc.z_space(p + 1, r - 1, l).rows + fc.boundaries(p, r, l):
+            den += solver.add(vec)
         reps = []
         for row in num.rows:
-            if solver.add(dict(row), ("r", len(reps))):
+            if solver.add(row, len(reps)):
                 reps.append(dict(row))
-        if len(reps) != num.dim - den.dim:
+        if len(reps) != num.dim - den:
             raise InternalInvariantError(
                 "page denominator not contained in its numerator")
         page.dims[(p, q)] = len(reps)
         page.reps[(p, q)] = reps
-        page._solvers[(p, q)] = (solver, len(reps))
+        page._solvers[(p, q)] = solver
 
     # differentials
     for (p, q) in cells:
@@ -195,21 +181,18 @@ def compute_page(fc, r):
         tdim = page.dims.get((tp, tq), 0)
         cols = []
         for v in src_reps:
-            col = {}
-            cols.append(col)
             image = w.diffs[l].apply(v)
             if not image:
+                cols.append({})
                 continue
             if (tp, tq) not in page._solvers:
                 raise InternalInvariantError(
                     "differential leaves the reliable plane")
-            combo = page._solvers[(tp, tq)][0].express(image)
+            combo = page._solvers[(tp, tq)].express(image)
             if combo is None:
                 raise InternalInvariantError(
                     "page differential image is not a cycle at its target")
-            for tag, c in combo.items():
-                if tag[0] == "r" and c != f.zero:
-                    col[tag[1]] = c
+            cols.append(combo)
         page.d[(p, q)] = Matrix(f, tdim, len(src_reps), cols)
     return page
 
@@ -492,6 +475,19 @@ def _is_tensorial_3(t):
     return (matrix_rank(mu.matrix) == d31 and quotient.dim == d31)
 
 
+def require_degeneration_hypotheses(t):
+    """Refuse, naming the violated hypothesis, an algebra that is not
+    tensorial with exactly three levels; no window is needed."""
+    if t.n != 3:
+        raise InputError(
+            "degeneration check requires exactly three levels, got "
+            f"{t.n}")
+    if not _is_tensorial_3(t):
+        raise InputError(
+            "degeneration check requires a tensorial algebra: the wide "
+            "block must be the balanced tensor product of the adjacent ones")
+
+
 def check_degeneration_A2k(t, fc):
     """Degeneration checks for a tensorial three-level algebra t, made on
     ``fc``, its filtered window, in degrees up to fc.window.L.
@@ -503,14 +499,7 @@ def check_degeneration_A2k(t, fc):
     from the outer diagonal summands vanish.  Refuses non-tensorial or
     non-three-level input, naming the violated hypothesis.
     """
-    if t.n != 3:
-        raise InputError(
-            "degeneration check requires exactly three levels, got "
-            f"{t.n}")
-    if not _is_tensorial_3(t):
-        raise InputError(
-            "degeneration check requires a tensorial algebra: the wide "
-            "block must be the balanced tensor product of the adjacent ones")
+    require_degeneration_hypotheses(t)
     w = fc.window
     L = w.L
     a2_is_field = (t.diag[1].dim == 1)
@@ -530,7 +519,7 @@ def check_degeneration_A2k(t, fc):
         report["d2_zero"] = zero
 
     # explicit second-differential vanishing for the outer summands
-    solvers = {}   # degree -> correction solver, shared by its classes
+    solvers = {}   # degree -> (correction, delta(Z_1^1)) solvers, shared
     for lvl in (1, 3):
         blk = x_block_bimodule(t, lvl, lvl)
         bw = build_bar_complex(t.diag[lvl - 1], blk, L - 1)
@@ -545,10 +534,13 @@ def check_degeneration_A2k(t, fc):
                 continue
             cell, _ = rc
             if l not in solvers:
-                solvers[l] = _correction_solver(fc, l)
+                bounds = EchelonSolver(w.field)
+                for vec in fc.boundaries(2, 2, l + 1):
+                    bounds.add(vec)
+                solvers[l] = (_correction_solver(fc, l), bounds)
             for row in cocycles.rows:
                 emb = {cell.offset + k: c for k, c in row.items()}
-                outcome = _d2_class_vanishes(fc, emb, l, solvers[l])
+                outcome = _d2_class_vanishes(fc, emb, l, *solvers[l])
                 if outcome is None:
                     report["nonsurviving_skipped"] += 1
                     continue
@@ -559,38 +551,37 @@ def check_degeneration_A2k(t, fc):
 
 
 def _correction_solver(fc, l):
-    """Solver fed delta of every basis vector of F^1 C^l (tagged ("w", c))
-    and the unit vectors of F^2 C^(l+1) (tagged ("f2", k)).  It depends on
-    the degree only, and ``express`` leaves it unchanged, so one serves
-    every class of that degree."""
+    """Solver that divides out the unit vectors of F^2 C^(l+1) and takes
+    delta of every basis vector c of F^1 C^l, tagged c.  It depends on the
+    degree only, and ``express`` leaves it unchanged, so one serves every
+    class of that degree."""
     w = fc.window
     fld = w.field
     delta = w.diffs[l]
     solver = EchelonSolver(fld)
-    for c in fc.members(l, 1):
-        solver.add(delta.apply({c: fld.one}), ("w", c))
     for k in fc.members(l + 1, 2):
-        solver.add({k: fld.one}, ("f2", k))
+        solver.add({k: fld.one})
+    for c in fc.members(l, 1):
+        solver.add(delta.apply({c: fld.one}), c)
     return solver
 
 
-def _d2_class_vanishes(fc, vec, l, solver):
+def _d2_class_vanishes(fc, vec, l, solver, bounds):
     """For a column-0 cocycle embedding with vanishing column-0 boundary:
     None if its first-page class does not survive to page 2; otherwise
     whether its second-differential class vanishes.
 
     Solves, through the degree's correction solver, for a column->=1
     correction making the boundary land two columns up, then tests
-    membership in the page-2 boundary denominator.
+    membership in the page-2 boundary denominator through ``bounds``.
     """
     w = fc.window
     fld = w.field
     delta = w.diffs[l]
     # d1 class must vanish: image = delta(correction) + (tag >= 2 rest)
-    combo = solver.express(delta.apply(vec))
-    if combo is None:
+    corr = solver.express(delta.apply(vec))
+    if corr is None:
         return None
-    corr = {tag[1]: c for tag, c in combo.items() if tag[0] == "w"}
     # g = delta(vec - corr) lands in F^2; its page-2 class must vanish
     diff = dict(vec)
     fld.row_addmul(diff, corr, fld.neg(fld.one))
@@ -598,5 +589,4 @@ def _d2_class_vanishes(fc, vec, l, solver):
     for k in g:
         if w.tags[l + 1][k] < 2:
             raise InternalInvariantError("corrected boundary is not two columns up")
-    den = fc.boundary_space(2, 2, l + 1)
-    return den.contains_vector(g)
+    return bounds.express(g) is not None

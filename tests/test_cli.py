@@ -485,6 +485,15 @@ class TestSharedWindow:
         assert len(built) == 1
         assert sorted(l for w, l in ranked if w is built[0]) == [0, 1, 2]
 
+    def test_refused_degeneration_check_builds_no_window(self, monkeypatch):
+        built, ranked = self.spy(monkeypatch)
+        code, out, err = run([str(DATA / "tetrahedron_boundary.simplicial"),
+                              "--max-degree", "3",
+                              "--report", "degeneration-check"])
+        assert code == 1 and out == ""
+        assert "requires a tensorial algebra" in err
+        assert built == [] and ranked == []
+
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_hochschild_ranks_below_top_degree(self, monkeypatch, L):
         built, ranked = self.spy(monkeypatch)

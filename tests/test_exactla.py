@@ -17,7 +17,6 @@ from trihoch import (
     graded_rank,
     kernel,
     matrix_rank,
-    subspace_sum,
 )
 
 from instances import intersection_dim
@@ -58,11 +57,17 @@ def whole_space(field, ambient):
 
 def quotient_count(u, v):
     """dim(u/v) counted as ``compute_page`` counts a page dimension: the
-    basis vectors of u that enlarge the span of v's basis in one solver."""
+    basis vectors of u that enlarge the span of v's basis, fed untagged,
+    in one solver."""
     solver = EchelonSolver(u.field)
-    for k, row in enumerate(v.rows):
-        assert solver.add(row, ("d", k))
-    return sum(solver.add(row, ("r", k)) for k, row in enumerate(u.rows))
+    for row in v.rows:
+        assert solver.add(row)
+    return sum(solver.add(row, k) for k, row in enumerate(u.rows))
+
+
+def subspace_sum(u, v):
+    """u + v, as the span of both bases."""
+    return Subspace.from_vectors(u.field, u.ambient_dim, u.rows + v.rows)
 
 
 def span(field, ambient, *vecs):
@@ -169,8 +174,8 @@ class TestGoldens:
 
     def test_ambient_mismatch_rejected(self, f):
         u = span(f, 2, (1, 0))
-        v = span(f, 3, (1, 0, 0))
-        with pytest.raises(InputError):
+        v = span(f, 3, (0, 0, 1))
+        with pytest.raises(InputError, match="out of ambient range"):
             subspace_sum(u, v)
 
 
@@ -211,6 +216,13 @@ def sparse_vectors(m):
     return st.dictionaries(st.integers(0, m.ncols - 1),
                            sparse_entry.filter(bool).map(m.field.of),
                            max_size=m.ncols)
+
+
+def ambient_vectors(m):
+    """Sparse vectors over the rows of m, the ambient space of its columns."""
+    if not m.nrows:
+        return st.just({})
+    return sparse_vectors(transpose(m))
 
 
 def dense_apply(m, vec):
@@ -336,8 +348,8 @@ def test_canonical_representation(pair):
             vecs.append(w)
     rebuilt = Subspace.from_vectors(f, u.ambient_dim, vecs)
     assert rebuilt == u
-    assert (u == v) == (all(u.contains_vector(x) for x in v.rows)
-                        and all(v.contains_vector(x) for x in u.rows))
+    assert (u == v) == (all(not u.reduce(x) for x in v.rows)
+                        and all(not v.reduce(x) for x in u.rows))
 
 
 @given(st.one_of(matrices(), sparse_matrices()))
@@ -392,6 +404,42 @@ def test_solver_expresses_span_members(m, coeffs):
     for (_, k), c in combo.items():
         f.row_addmul(rebuilt, rows[k], c)
     assert rebuilt == target
+
+
+@given(st.one_of(matrices(), sparse_matrices()).flatmap(
+    lambda m: st.tuples(st.just(m),
+                        st.lists(st.booleans(), min_size=m.ncols,
+                                 max_size=m.ncols),
+                        st.lists(entry, min_size=m.ncols, max_size=m.ncols),
+                        ambient_vectors(m))))
+def test_solver_divides_out_untagged_vectors(case):
+    m, tagged, coeffs, other = case
+    f = m.field
+    vecs = m.cols
+    solver = EchelonSolver(f)
+    for k, vec in enumerate(vecs):
+        solver.add(vec, k if tagged[k] else None)
+    untagged = Subspace.from_vectors(
+        f, m.nrows, [v for v, t in zip(vecs, tagged) if not t])
+    total = Subspace.from_vectors(f, m.nrows, vecs)
+
+    target = {}
+    for c, vec in zip(coeffs, vecs):
+        f.row_addmul(target, vec, f.of(c))
+    combo = solver.express(target)
+    assert combo is not None and all(tagged[k] for k in combo)
+    rest = dict(target)
+    for k, c in combo.items():
+        f.row_addmul(rest, vecs[k], f.neg(c))
+    assert not untagged.reduce(rest)
+
+    npivots = len(solver.pivots)
+    assert not solver.add(target, "again") and not solver.add(target)
+    assert len(solver.pivots) == npivots == total.dim
+
+    # ``other`` ranges over the ambient space, inside the span or not
+    assert (solver.express(other) is None) == bool(total.reduce(other))
+    assert solver.express({m.nrows: f.one}) is None
 
 
 def test_solver_rejects_outside_vector():

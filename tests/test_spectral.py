@@ -14,6 +14,9 @@ from trihoch import (
     TriangularAlgebra,
     Stay,
     Jump,
+    EchelonSolver,
+    Matrix,
+    Subspace,
     build_bar_complex,
     build_filtered,
     build_tensorial,
@@ -175,6 +178,53 @@ def test_class_coords_rejects_non_cycle(branching, branching_pages):
                if delta0.cols[c])
     with pytest.raises(InputError, match="not a cycle"):
         page2.class_coords(0, 0, bad)
+
+
+def reference_page(fc, r):
+    """dims, reps and d of page r with every denominator built first as a
+    canonical subspace, Z_{r-1}^{p+1} + boundaries, whose basis a fresh
+    solver divides out before it picks representatives."""
+    w = fc.window
+    f = w.field
+    dims, reps, d, solvers = {}, {}, {}, {}
+    for l in range(w.L + 1):
+        for p in range(min(fc.n, l + 1)):
+            den = Subspace.from_vectors(
+                f, w.dims[l],
+                fc.z_space(p + 1, r - 1, l).rows + fc.boundaries(p, r, l))
+            solver = EchelonSolver(f)
+            for row in den.rows:
+                assert solver.add(row)
+            cell = []
+            for row in fc.z_space(p, r, l).rows:
+                if solver.add(row, len(cell)):
+                    cell.append(dict(row))
+            dims[(p, l - p)] = len(cell)
+            reps[(p, l - p)] = cell
+            solvers[(p, l - p)] = solver
+    for (p, q), cell in reps.items():
+        if p + q > w.L - 1:
+            continue
+        target = (p + r, q - r + 1)
+        cols = [solvers[target].express(w.diffs[p + q].apply(v))
+                if target in solvers else {} for v in cell]
+        d[(p, q)] = Matrix(f, dims.get(target, 0), len(cell), cols)
+    return dims, reps, d
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_pages_match_the_canonical_denominator(suite2, field):
+    """Dividing out the denominator's raw spanning vectors picks the same
+    representatives and the same differentials as dividing out its
+    canonical basis, cell by cell, on every page."""
+    for inst in suite2:
+        fc = build_filtered(over_field(inst.t, field), L=4)
+        for r in range(fc.n + 1):
+            page = compute_page(fc, r)
+            dims, reps, d = reference_page(fc, r)
+            assert page.dims == dims, (inst.name, r)
+            assert page.reps == reps, (inst.name, r)
+            assert page.d == d, (inst.name, r)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])

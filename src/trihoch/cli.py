@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra,
                       TriangularAlgebra, validate_triangular)
@@ -92,7 +91,7 @@ def emit_quiver(q):
 
 def _coeff(field, tok, ln):
     try:
-        return field.of(Fraction(tok))
+        return field.of(tok)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad coefficient {tok!r} at line {ln}") from None
 
@@ -247,36 +246,30 @@ def parse_triangular_file(text, field=None):
     return t
 
 
-def _fmt_coeff(c):
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c) if isinstance(c, Fraction) else c)
-
-
 def emit_triangular(t):
     out = []
     for i in range(1, t.n + 1):
         a = t.diag[i - 1]
         out.append(f"algebra A{i} dim {a.dim}")
-        unit = " ".join(_fmt_coeff(a.unit.get(k, 0)) for k in range(a.dim))
+        unit = " ".join(str(a.unit.get(k, 0)) for k in range(a.dim))
         out.append(f"unit A{i} : {unit}")
         for (x, y) in sorted(a.mul):
             for z, c in sorted(a.mul[(x, y)].items()):
-                out.append(f"mul A{i} : {x} {y} {z} {_fmt_coeff(c)}")
+                out.append(f"mul A{i} : {x} {y} {z} {c}")
     for (j, i) in sorted(t.mods):
         m = t.mods[(j, i)]
         out.append(f"module M{j}{i} dim {m.dim}")
         for (a, x) in sorted(m.lact):
             for z, c in sorted(m.lact[(a, x)].items()):
-                out.append(f"lact M{j}{i} : {a} {x} {z} {_fmt_coeff(c)}")
+                out.append(f"lact M{j}{i} : {a} {x} {z} {c}")
         for (x, a) in sorted(m.ract):
             for z, c in sorted(m.ract[(x, a)].items()):
-                out.append(f"ract M{j}{i} : {x} {a} {z} {_fmt_coeff(c)}")
+                out.append(f"ract M{j}{i} : {x} {a} {z} {c}")
     for (l, j, i) in sorted(t.mus):
         mu = t.mus[(l, j, i)]
         for (y, x) in sorted(mu.pair):
             for z, c in sorted(mu.pair[(y, x)].items()):
-                out.append(f"mu {l} {j} {i} : {y} {x} {z} {_fmt_coeff(c)}")
+                out.append(f"mu {l} {j} {i} : {y} {x} {z} {c}")
     return "\n".join(out) + "\n"
 
 

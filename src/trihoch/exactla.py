@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
 Scalars are plain Python values: ``int``/``Fraction`` over the rationals,
-``int`` in ``[0, p)`` over a prime field.  A ``Field`` object supplies the
+where an integral input always enters as an ``int``, and ``int`` in
+``[0, p)`` over a prime field.  A ``Field`` object supplies the
 arithmetic so the same elimination code runs over either field.  Vectors are
 sparse dicts ``{index: value}`` with no stored zero.  A matrix is a list
 of column dicts and nothing else; ``kernel`` transposes the columns into
@@ -62,17 +63,20 @@ class Field:
 
 
 class RationalField(Field):
-    """The rationals; elements are ints or Fractions, mixed freely."""
+    """The rationals; elements are ints or Fractions, and ``of`` turns an
+    integral input, ``Fraction`` or string, into an int."""
 
     char = 0
     zero = 0
     one = 1
 
     def of(self, v):
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, int):
             return v
         if isinstance(v, str):
-            return Fraction(v)
+            v = Fraction(v)
+        if isinstance(v, Fraction):
+            return v.numerator if v.denominator == 1 else v
         raise InputError(f"cannot coerce {v!r} into the rationals")
 
     def add(self, a, b):

@@ -29,7 +29,6 @@ All matrices are sparse over an exact field.
 
 from __future__ import annotations
 
-import itertools
 from math import prod
 
 from .algebra import Bimodule, FiniteDimAlgebra
@@ -315,14 +314,14 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
     kappa = None
     if grading is not None:
         tweight, xweight = grading
+        # word sums of degree l extend those of degree l - 1 by one letter,
+        # in the lexicographic word order of the cell layout
+        ws = [0]
         kappa = []
         for l in range(L + 2):
-            keys = []
-            for word in itertools.product(range(d), repeat=l):
-                wsum = sum(tweight[u] for u in word)
-                for xi in range(dx):
-                    keys.append(wsum - xweight[xi])
-            kappa.append(keys)
+            if l:
+                ws = [s + w for s in ws for w in tweight]
+            kappa.append([s - x for s in ws for x in xweight])
 
     layout = [_layout([(("bar", l), (d,) * l, dx, None)])
               for l in range(L + 2)]

@@ -5,6 +5,7 @@ import contextlib
 import io
 import pathlib
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -106,6 +107,34 @@ class TestRoundTrips:
         from_quiver = path_algebra(q, compute_levels(q), QQ)
         from_tri = parse_triangular_file(read("branching4.tri"), QQ)
         assert from_tri == from_quiver
+
+
+class TestIntegralCoefficients:
+    """Integral coefficients of a QQ input are parsed to ints, so every
+    window built on them is eliminated in int arithmetic."""
+
+    @staticmethod
+    def entries(window):
+        return [v for m in window.diffs for col in m.cols for v in col.values()]
+
+    def test_branching4_constants_are_ints(self):
+        t = parse_triangular_file(read("branching4.tri"), QQ)
+        consts = [c for vec in t.total.mul.values() for c in vec.values()]
+        assert consts and all(type(c) is int for c in consts)
+        for w in (hochcomplex.build_relative_complex(t, 3),
+                  hochcomplex.bar_oracle(t, 3)):
+            vals = self.entries(w)
+            assert vals and all(type(v) is int for v in vals)
+
+    def test_non_integral_coefficient_stays_a_fraction(self):
+        # A1 on the basis vector e = 2.1: e.e = 2e and the unit is e/2
+        t = parse_triangular_file(
+            "algebra A1 dim 1\nunit A1 : 1/2\nmul A1 : 0 0 0 4/2\n", QQ)
+        unit, square = t.diag[0].unit[0], t.diag[0].mul[(0, 0)][0]
+        assert type(unit) is Fraction and unit == Fraction(1, 2)
+        assert type(square) is int and square == 2
+        assert emit_triangular(t).splitlines()[1:] == [
+            "unit A1 : 1/2", "mul A1 : 0 0 0 2"]
 
 
 class TestJobSpec:

@@ -380,6 +380,25 @@ def test_rational_div_keeps_integer_quotients(a, b):
     assert QQ.inv(b) == Fraction(1, b)
 
 
+@given(st.integers(-200, 200), nonzero)
+def test_rational_of_makes_integral_values_ints(a, b):
+    v = QQ.of(Fraction(a * b, b))
+    assert type(v) is int and v == a
+    assert type(QQ.of(a)) is int and QQ.of(a) == a
+    assert GF(32003).of(Fraction(a * b, b)) == a % 32003
+    assert GF(32003).of(Fraction(a, b)) == a * pow(b, -1, 32003) % 32003
+
+
+def test_rational_of_strings():
+    assert type(QQ.of("6/3")) is int and QQ.of("6/3") == 2
+    assert type(QQ.of("-4")) is int and QQ.of("-4") == -4
+    half = QQ.of("1/2")
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert GF(7).of("1/2") == 4
+    with pytest.raises(InputError):
+        QQ.of(0.5)
+
+
 def test_rational_inverse_of_unit_is_int():
     for u in (1, -1):
         assert type(QQ.inv(u)) is int and QQ.inv(u) == u

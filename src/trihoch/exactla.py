@@ -5,9 +5,8 @@ where an integral input always enters as an ``int``, and ``int`` in
 ``[0, p)`` over a prime field.  A ``Field`` object supplies the
 arithmetic so the same elimination code runs over either field.  Vectors are
 sparse dicts ``{index: value}`` with no stored zero.  A matrix is a list
-of column dicts and nothing else; ``kernel`` transposes the columns into
-row dicts of its own, so the matrix it reads is never changed.  Everything
-is exact: no floating point anywhere.
+of column dicts and nothing else, and no call changes the matrix it reads.
+Everything is exact: no floating point anywhere.
 
 Subspaces are stored as reduced-row-echelon bases, which are unique, so two
 equal subspaces always have identical representations and equality is a
@@ -16,8 +15,12 @@ plain comparison.
 Rank-only calls (``matrix_rank``, ``graded_rank``) eliminate the shorter
 nonempty side of a matrix, the columns unless the rows are fewer: row
 rank equals column rank, and the tall differentials of a cochain window
-hold far fewer redundant columns than redundant rows.  Everything that
-needs a basis (kernels, subspaces, the solver) eliminates rows.
+hold far fewer redundant columns than redundant rows.
+
+Everything that needs a basis goes through ``EchelonSolver``; ``_echelon``
+ranks.  ``kernel`` feeds a matrix's columns and ``Subspace.from_vectors``
+the coordinate columns of its vectors, and each reads the RREF basis off
+the combinations the solver tracks.
 """
 
 from __future__ import annotations
@@ -329,28 +332,6 @@ def graded_rank(m, row_keys):
     return sum(_rank(m.field, xs) for xs in groups.values())
 
 
-def _canonical_rows(field, rowdicts):
-    """Full RREF of the given span: normalized, back-substituted, sorted.
-
-    Returns (rows, pivots) with rows sorted by strictly increasing leading
-    column and pivot entries equal to one.
-    """
-    pivots = _echelon(field, rowdicts)
-    cols = sorted(pivots)
-    neg = field.neg
-    addmul = field.row_addmul
-    for c in reversed(cols):
-        row = pivots[c]
-        lead = row[c]
-        if lead != field.one:
-            inv = field.inv(lead)
-            for k in list(row):
-                row[k] = field.mul(row[k], inv)
-        for c2 in sorted(k for k in row if k != c and k in pivots):
-            addmul(row, pivots[c2], neg(row[c2]))
-    return [pivots[c] for c in cols], cols
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -373,18 +354,33 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
-        work = []
-        for v in vectors:
+        """The span of ``vectors``, which are left unchanged.
+
+        One solver takes the coordinate columns of the vectors from left to
+        right, each tagged by its coordinate.  An independent column p is a
+        pivot and starts the row {p: 1}.  A dependent column c is the sum
+        of -combo[p] times column p over the pivots p of its combination,
+        and in an RREF those coefficients are the entries of the rows p at
+        c.
+        """
+        cols = {}
+        for i, v in enumerate(vectors):
             if v and max(v) >= ambient_dim:
                 raise InputError("vector index out of ambient range")
-            if v:
-                work.append(dict(v))
-        rows, pivots = _canonical_rows(field, work)
-        return cls(field, ambient_dim, rows, pivots)
-
-    @classmethod
-    def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [], [])
+            for k, x in v.items():
+                cols.setdefault(k, {})[i] = x
+        neg = field.neg
+        solver = EchelonSolver(field)
+        rows = {}
+        for c in sorted(cols):
+            combo = solver._feed(cols[c], {c: field.one})
+            if combo is None:
+                rows[c] = {c: field.one}
+                continue
+            del combo[c]
+            for p, x in combo.items():
+                rows[p][c] = neg(x)
+        return cls(field, ambient_dim, list(rows.values()), list(rows))
 
     @property
     def dim(self):
@@ -411,23 +407,23 @@ class Subspace:
 
 
 def kernel(m):
-    """Kernel of ``m`` as a canonical Subspace of the column space, found by
-    eliminating row dicts transposed from the columns (``m`` is unchanged)."""
+    """Kernel of ``m`` as a canonical Subspace of the column space; ``m`` is
+    unchanged.
+
+    One solver takes the columns from the last to the first, each tagged by
+    its index.  A column that reduces to zero gives its combination: a one
+    at its own index and otherwise only independent columns to its right.
+    So these vectors, by ascending index, are the RREF basis of the kernel.
+    """
     f = m.field
-    rows = [{} for _ in range(m.nrows)]
-    for c, col in enumerate(m.cols):
-        for r, v in col.items():
-            rows[r][c] = v
-    red, pivots = _canonical_rows(f, [r for r in rows if r])
-    pivset = set(pivots)
-    free = {c: {c: f.one} for c in range(m.ncols) if c not in pivset}
-    # an RREF row is zero at every other pivot column, so its entries off
-    # its own pivot all sit in free columns
-    for pc, row in zip(pivots, red):
-        for c, val in row.items():
-            if c != pc:
-                free[c][pc] = f.neg(val)
-    return Subspace.from_vectors(f, m.ncols, list(free.values()))
+    solver = EchelonSolver(f)
+    rows, pivots = [], []
+    for c in reversed(range(m.ncols)):
+        combo = solver._feed(m.cols[c], {c: f.one})
+        if combo is not None:
+            rows.append(combo)
+            pivots.append(c)
+    return Subspace(f, m.ncols, rows[::-1], pivots[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +435,8 @@ class EchelonSolver:
 
     Vectors are fed with tags; ``express`` then writes any vector of the
     accumulated span as a tagged linear combination of the fed vectors,
-    modulo the span of the vectors fed without a tag.  Used for
-    representative lifting and class-coordinate solving.
+    modulo the span of the vectors fed without a tag.  Used for kernels,
+    spans, representative lifting and class-coordinate solving.
     """
 
     def __init__(self, field):
@@ -461,15 +457,22 @@ class EchelonSolver:
             f.row_addmul(combo, pcombo, factor)
         return v, combo, None
 
+    def _feed(self, vec, combo):
+        """Reduce ``vec`` from the combination ``combo``.  Keep it as a pivot
+        and return None if it enlarges the span; otherwise return its final
+        combination, a relation among the tagged vectors modulo the
+        untagged ones."""
+        v, combo, lead = self._reduce(vec, combo)
+        if lead is None:
+            return combo
+        self.pivots[lead] = (v, combo)
+        return None
+
     def add(self, vec, tag=None):
         """Feed a vector; returns True if it enlarged the span.  An
         untagged vector is divided out of every combination."""
         combo = {} if tag is None else {tag: self.field.one}
-        v, combo, lead = self._reduce(vec, combo)
-        if lead is None:
-            return False
-        self.pivots[lead] = (v, combo)
-        return True
+        return self._feed(vec, combo) is None
 
     def express(self, vec):
         """Coefficients {tag: coeff} with vec - sum coeff * fed[tag] in the

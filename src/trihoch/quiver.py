@@ -104,14 +104,14 @@ def compute_levels(q):
     return LevelAssignment(level, n)
 
 
-def enumerate_paths(q):
+def enumerate_paths(q, levels):
     """All directed paths, grouped into a dict keyed by
-    (source level, target level); length-0 paths at vertices included.
+    (source level, target level) under ``levels``; length-0 paths at
+    vertices included.
 
     A path is (source vertex, tuple of arrow labels in traversal order).
     Finite because the quiver must be acyclic.
     """
-    levels = compute_levels(q)
     groups = {}
 
     def record(src, labs, tgt):
@@ -198,7 +198,7 @@ def path_algebra(q, levels, field=None):
         return head[labs[-1]] if labs else src
 
     homs = {(j, i): [(target(p), p[0], p) for p in paths]
-            for (i, j), paths in enumerate_paths(q).items() if j > i}
+            for (i, j), paths in enumerate_paths(q, levels).items() if j > i}
     return _morphism_algebra(field or QQ, n, objects, homs,
                              lambda outer, inner: (inner[0], inner[1] + outer[1]))
 

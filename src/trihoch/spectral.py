@@ -56,28 +56,19 @@ class FilteredComplex:
         if cached is not None:
             return cached
         f = w.field
-        dim_l = w.dims[l]
-        if lo >= self.n:
-            out = Subspace.zero(f, dim_l)
-            self._zcache[key] = out
-            return out
         cols = self.members(l, lo)
         kill_rows = [k for k, t in enumerate(w.tags[l + 1]) if t < bound]
-        if not kill_rows:
-            out = Subspace.from_vectors(
-                f, dim_l, [{c: f.one} for c in cols])
-        else:
-            # the columns of the members, cut down to the kill rows
-            pos = {k: i for i, k in enumerate(kill_rows)}
-            dcols = w.diffs[l].cols
-            sub = Matrix(
-                f, len(kill_rows), len(cols),
-                [{pos[k]: v for k, v in dcols[c].items() if k in pos}
-                 for c in cols])
-            ker = kernel(sub)
-            rows = [{cols[c]: v for c, v in row.items()} for row in ker.rows]
-            pivots = [cols[c] for c in ker.pivots]
-            out = Subspace(f, dim_l, rows, pivots)
+        # the columns of the members, cut down to the kill rows
+        pos = {k: i for i, k in enumerate(kill_rows)}
+        dcols = w.diffs[l].cols
+        sub = Matrix(
+            f, len(kill_rows), len(cols),
+            [{pos[k]: v for k, v in dcols[c].items() if k in pos}
+             for c in cols])
+        ker = kernel(sub)
+        rows = [{cols[c]: v for c, v in row.items()} for row in ker.rows]
+        pivots = [cols[c] for c in ker.pivots]
+        out = Subspace(f, w.dims[l], rows, pivots)
         self._zcache[key] = out
         return out
 

@@ -109,7 +109,7 @@ class TestGoldens:
 
     def test_kernel_identity(self, f):
         m = matrix_of_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert kernel(m) == Subspace.zero(f, 3)
+        assert kernel(m) == Subspace.from_vectors(f, 3, [])
 
     def test_kernel_zero_map(self, f):
         assert kernel(Matrix(f, 2, 4)) == whole_space(f, 4)
@@ -123,7 +123,7 @@ class TestGoldens:
         assert column_space(matrix_of_rows(f, [[1, 0], [0, 1]])) == whole_space(f, 2)
 
     def test_image_zero(self, f):
-        assert column_space(Matrix(f, 3, 2)) == Subspace.zero(f, 3)
+        assert column_space(Matrix(f, 3, 2)) == Subspace.from_vectors(f, 3, [])
 
     def test_image_column(self, f):
         im = column_space(matrix_of_rows(f, [[1], [2]]))
@@ -132,7 +132,7 @@ class TestGoldens:
 
     def test_sum_with_zero(self, f):
         u = span(f, 3, (1, 2, 0), (0, 0, 1))
-        assert subspace_sum(u, Subspace.zero(f, 3)) == u
+        assert subspace_sum(u, Subspace.from_vectors(f, 3, [])) == u
 
     def test_sum_axes(self, f):
         full = subspace_sum(span(f, 2, (1, 0)), span(f, 2, (0, 1)))
@@ -158,7 +158,8 @@ class TestGoldens:
         assert quotient_count(u, u) == 0
 
     def test_quotient_full_by_zero(self, f):
-        assert quotient_count(whole_space(f, 5), Subspace.zero(f, 5)) == 5
+        zero = Subspace.from_vectors(f, 5, [])
+        assert quotient_count(whole_space(f, 5), zero) == 5
 
     def test_quotient_three_by_one(self, f):
         u = span(f, 4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
@@ -356,6 +357,26 @@ def test_canonical_representation(pair):
 def test_kernel_vectors_annihilate(m):
     for v in kernel(m).rows:
         assert m.apply(v) == {}
+
+
+def assert_rref(u):
+    """The pivots strictly increase, each row's leading entry is a one at
+    its pivot, and every row is zero at the other pivots."""
+    assert len(u.rows) == len(u.pivots)
+    assert all(a < b for a, b in zip(u.pivots, u.pivots[1:]))
+    for pc, row in zip(u.pivots, u.rows):
+        assert min(row) == pc and row[pc] == u.field.one
+        assert not any(q in row for q in u.pivots if q != pc)
+
+
+@given(st.one_of(matrices(), sparse_matrices()))
+def test_kernel_and_span_are_rref_bases(m):
+    ker = kernel(m)
+    assert_rref(ker)
+    assert ker.dim == m.ncols - matrix_rank(m)
+    assert all(m.apply(v) == {} for v in ker.rows)
+    assert_rref(column_space(m))
+    assert_rref(Subspace.from_vectors(m.field, m.ncols, transpose(m).cols))
 
 
 @given(st.data())

@@ -6,9 +6,12 @@ import pytest
 from trihoch import (
     QQ,
     InputError,
+    LevelAssignment,
     Quiver,
     SimplicialComplex,
+    build_relative_complex,
     check_acyclic,
+    cohomology_dims,
     compute_levels,
     enumerate_paths,
     incidence_algebra,
@@ -77,17 +80,19 @@ class TestLevels:
 
 class TestPathEnumeration:
     def test_single_vertex(self):
-        groups = enumerate_paths(Quiver(["a"], []))
+        q = Quiver(["a"], [])
+        groups = enumerate_paths(q, compute_levels(q))
         assert groups == {(1, 1): [("a", ())]}
 
     def test_chain_has_six_paths(self):
         q = Quiver(["a", "b", "c"], [("u", "a", "b"), ("v", "b", "c")])
-        groups = enumerate_paths(q)
+        groups = enumerate_paths(q, compute_levels(q))
         assert sum(len(g) for g in groups.values()) == 6
         assert groups[(1, 3)] == [("a", ("u", "v"))]
 
     def test_branching_has_thirteen_paths(self):
-        groups = enumerate_paths(branching_quiver())
+        q = branching_quiver()
+        groups = enumerate_paths(q, compute_levels(q))
         assert sum(len(g) for g in groups.values()) == 13
         # 1 -> 3: u then one of the four top arrows
         assert len(groups[(1, 3)]) == 4
@@ -123,9 +128,23 @@ class TestPathAlgebra:
         for q in (branching_quiver(),
                   Quiver(["a", "b", "c"], [("u", "a", "b"), ("v", "b", "c"),
                                            ("w", "a", "c")])):
-            t = path_algebra(q, compute_levels(q), FP)
+            levels = compute_levels(q)
+            t = path_algebra(q, levels, FP)
             assert t.total.dim == sum(
-                len(g) for g in enumerate_paths(q).values())
+                len(g) for g in enumerate_paths(q, levels).values())
+
+    def test_given_levels_group_the_paths(self):
+        # valid levels other than the longest-path ones: c sits on level 4
+        # and level 3 is empty
+        q = Quiver(["a", "b", "c"], [("u", "a", "b"), ("v", "b", "c"),
+                                     ("w", "a", "c")])
+        t = path_algebra(q, LevelAssignment({"a": 1, "b": 2, "c": 4}, 4), QQ)
+        assert t.n == 4 and t.total.dim == 7
+        assert validate_triangular(t) == []
+        t0 = path_algebra(q, compute_levels(q), QQ)
+        assert (cohomology_dims(build_relative_complex(t, 3))
+                == cohomology_dims(build_relative_complex(t0, 3))
+                == [1, 2, 0, 0])
 
     def test_composition_is_path_concatenation(self):
         q = Quiver(["a", "b", "c"], [("u", "a", "b"), ("v", "b", "c")])

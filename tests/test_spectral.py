@@ -8,6 +8,8 @@ from trihoch import (
     GF,
     QQ,
     BimoduleMap,
+    CochainWindow,
+    FilteredComplex,
     FiniteDimAlgebra,
     InputError,
     Trajectory,
@@ -33,6 +35,7 @@ from trihoch import (
     validate_triangular,
     x_block_bimodule,
 )
+from trihoch.spectral import _correction_solver, _d2_class_vanishes
 
 from instances import (
     FP,
@@ -229,9 +232,9 @@ def test_pages_match_the_canonical_denominator(suite2, field):
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
 def test_pages_leave_the_window_unchanged(suite2, field):
-    """Every report reads one shared window, and ``kernel`` eliminates
-    transposed copies of the columns it reads: paging r = 0..n and ranking
-    leave every differential as it was built."""
+    """Every report reads one shared window, and ``kernel`` reduces copies
+    of the columns it reads: paging r = 0..n and ranking leave every
+    differential as it was built."""
     for inst in suite2:
         fc = build_filtered(over_field(inst.t, field), L=3)
         w = fc.window
@@ -410,6 +413,28 @@ class TestDegeneration:
         assert t.tensorial_adjacent is None
         report = check_degeneration_A2k(t, build_filtered(t, 4))
         assert report["tensorial"] and report["d2_zero"]
+
+    @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F32003"])
+    @pytest.mark.parametrize("with_w", [False, True],
+                             ids=["class_survives", "class_bounds"])
+    def test_outer_class_step(self, field, with_w):
+        """The outer-class step on x in a hand-built window with n = 3:
+        degree 0 holds x (tag 0) and y (tag 1), degree 1 holds u (tag 1)
+        and z (tag 2), and dx = u + z, dy = u.  The correction y takes dx
+        to z in F^2, which bounds nothing, so the class does not vanish.
+        A tag-1 w with dw = z makes z a page-2 boundary, and it does."""
+        one = field.one
+        cols = [{0: one, 1: one}, {0: one}] + [{1: one}] * with_w
+        tags0 = [0, 1] + [1] * with_w
+        w = CochainWindow(field, 0, None, [len(cols), 2],
+                          [Matrix(field, 2, len(cols), cols)],
+                          tags=[tags0, [1, 2]])
+        fc = FilteredComplex(w, 3)
+        bounds = EchelonSolver(field)
+        for vec in fc.boundaries(2, 2, 1):
+            bounds.add(vec)
+        assert _d2_class_vanishes(fc, {0: one}, 0,
+                                  _correction_solver(fc, 0), bounds) is with_w
 
 
 class TestBlockHelpers:

@@ -159,8 +159,7 @@ class TriangularAlgebra:
     the index maps between total-basis indices and blocks.
     """
 
-    __slots__ = ("field", "n", "diag", "mods", "mus", "total", "block_of",
-                 "tensorial_adjacent")
+    __slots__ = ("field", "n", "diag", "mods", "mus", "total", "block_of")
 
     def __init__(self, field, n, diag, mods, mus):
         self.field = field
@@ -170,7 +169,6 @@ class TriangularAlgebra:
         self.mus = mus
         self.total = None
         self.block_of = None
-        self.tensorial_adjacent = None
         assemble_total(self)
 
     def block_dim(self, j, i):
@@ -482,9 +480,7 @@ def build_tensorial(diag, adjacent):
                             pair[(y, x)] = img
                 mus[(l, j, i)] = BimoduleMap(outer, inner, mods[(l, i)], pair)
 
-    t = TriangularAlgebra(f, n, list(diag), mods, mus)
-    t.tensorial_adjacent = list(adjacent)
-    return t
+    return TriangularAlgebra(f, n, list(diag), mods, mus)
 
 
 def center(a):

@@ -96,25 +96,33 @@ def _coeff(field, tok, ln):
         raise InputError(f"bad coefficient {tok!r} at line {ln}") from None
 
 
+def _int(tok, bad, ln):
+    """``tok`` as an integer: ASCII digits after an optional minus sign.
+    Any other token is the input error ``bad`` at line ``ln``."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputError(f"{bad} at line {ln}")
+    return int(tok)
+
+
 def _alg_index(tok, ln):
-    if len(tok) == 2 and tok[0] == "A" and tok[1].isdigit() and tok[1] != "0":
-        return int(tok[1])
-    raise InputError(f"bad algebra name {tok!r} at line {ln}")
+    bad = f"bad algebra name {tok!r}"
+    if len(tok) == 2 and tok[0] == "A" and tok[1] != "0":
+        return _int(tok[1], bad, ln)
+    raise InputError(f"{bad} at line {ln}")
 
 
 def _mod_index(tok, ln):
-    if (len(tok) == 3 and tok[0] == "M" and tok[1:].isdigit()
-            and "0" not in tok[1:]):
-        j, i = int(tok[1]), int(tok[2])
+    bad = f"bad module name {tok!r}"
+    if len(tok) == 3 and tok[0] == "M" and "0" not in tok:
+        j, i = _int(tok[1], bad, ln), _int(tok[2], bad, ln)
         if j > i:
             return j, i
-    raise InputError(f"bad module name {tok!r} at line {ln}")
+    raise InputError(f"{bad} at line {ln}")
 
 
 def _int_in(tok, bound, ln, what):
-    if not tok.lstrip("-").isdigit():
-        raise InputError(f"bad index {tok!r} at line {ln}")
-    v = int(tok)
+    v = _int(tok, f"bad index {tok!r}", ln)
     if not (0 <= v < bound):
         raise InputError(f"{what} index {v} out of range at line {ln}")
     return v
@@ -200,12 +208,10 @@ def parse_triangular_file(text, field=None):
             mp = _int_in(toks[5], d, ln, "basis")
             _accum(field, table, key, mp, _coeff(field, toks[6], ln))
         elif head == "mu" and len(toks) == 9 and toks[4] == ":":
-            l, j, i = (int(toks[1]) if toks[1].isdigit() else 0,
-                       int(toks[2]) if toks[2].isdigit() else 0,
-                       int(toks[3]) if toks[3].isdigit() else 0)
+            bad = "mu levels must strictly descend"
+            l, j, i = (_int(tok, bad, ln) for tok in toks[1:4])
             if not (l > j > i >= 1):
-                raise InputError(
-                    f"mu levels must strictly descend at line {ln}")
+                raise InputError(f"{bad} at line {ln}")
             for pair in ((l, j), (j, i), (l, i)):
                 if pair not in mdim:
                     raise InputError(

@@ -17,10 +17,11 @@ nonempty side of a matrix, the columns unless the rows are fewer: row
 rank equals column rank, and the tall differentials of a cochain window
 hold far fewer redundant columns than redundant rows.
 
-Everything that needs a basis goes through ``EchelonSolver``; ``_echelon``
-ranks.  ``kernel`` feeds a matrix's columns and ``Subspace.from_vectors``
-the coordinate columns of its vectors, and each reads the RREF basis off
-the combinations the solver tracks.
+Everything that needs a basis goes through ``EchelonSolver``, the one
+elimination loop; ranks feed it untagged.  ``kernel`` feeds a matrix's
+columns and ``Subspace.from_vectors`` the coordinate columns of its
+vectors, and each reads the RREF basis off the combinations the solver
+tracks.
 """
 
 from __future__ import annotations
@@ -267,49 +268,25 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
-
-
-def _echelon(field, rowdicts, owned=True):
-    """Forward elimination; returns {lead_col: row} unnormalized.
-
-    Rows are processed sparsest first; the span of the result equals the span
-    of the input, and leading columns are pairwise distinct.  ``owned`` rows
-    belong to the call and are reduced in place.  Otherwise a row is copied
-    the first time it is reduced, so the input dicts stay unchanged; pivots
-    are only read, so a pivot that was never reduced is an input dict.
-    """
-    pivots = {}
-    neg = field.neg
-    div = field.div
-    addmul = field.row_addmul
-    for r in sorted(rowdicts, key=len):
-        fresh = owned
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                break
-            if not fresh:
-                r = dict(r)
-                fresh = True
-            addmul(r, p, neg(div(r[c], p[c])))
-    return pivots
+# ranks
 
 
 def _rank(field, lines):
     """Rank of the nonempty columns ``lines`` of a matrix, which are left
-    unchanged; found by eliminating them or the rows they make, whichever
-    are fewer."""
+    unchanged; found by feeding them or the rows they make, whichever are
+    fewer, sparsest first into one solver without tags."""
     other = set().union(*lines)
-    if len(other) >= len(lines):
-        return len(_echelon(field, lines, owned=False))
-    t = {k: {} for k in other}
-    for i, line in enumerate(lines):
-        for k, v in line.items():
-            t[k][i] = v
-    return len(_echelon(field, list(t.values())))
+    if len(other) < len(lines):
+        t = {k: {} for k in other}
+        for i, line in enumerate(lines):
+            for k, v in line.items():
+                t[k][i] = v
+        lines = t.values()
+    solver = EchelonSolver(field)
+    feed = solver._feed
+    for line in sorted(lines, key=len):
+        feed(line, {})
+    return len(solver.pivots)
 
 
 def matrix_rank(m):
@@ -435,26 +412,35 @@ class EchelonSolver:
 
     Vectors are fed with tags; ``express`` then writes any vector of the
     accumulated span as a tagged linear combination of the fed vectors,
-    modulo the span of the vectors fed without a tag.  Used for kernels,
-    spans, representative lifting and class-coordinate solving.
+    modulo the span of the vectors fed without a tag.  Used for ranks,
+    kernels, spans, representative lifting and class-coordinate solving.
+
+    A fed vector is copied the first time it is reduced, so no input dict
+    changes; pivots are only read, so a pivot that was never reduced is the
+    caller's dict, which must not change afterwards.
     """
 
     def __init__(self, field):
         self.field = field
-        self.pivots = {}  # lead col -> (rowdict, combodict)
+        self.pivots = {}  # lead col -> rowdict
+        self.combos = {}  # lead col -> combodict, only the nonempty ones
 
     def _reduce(self, vec, combo):
         f = self.field
-        v = dict(vec)
+        pivots, combos = self.pivots, self.combos
+        v = vec
         while v:
             c = min(v)
-            hit = self.pivots.get(c)
-            if hit is None:
+            p = pivots.get(c)
+            if p is None:
                 return v, combo, c
-            p, pcombo = hit
+            if v is vec:
+                v = dict(vec)
             factor = f.neg(f.div(v[c], p[c]))
             f.row_addmul(v, p, factor)
-            f.row_addmul(combo, pcombo, factor)
+            pcombo = combos.get(c)
+            if pcombo:
+                f.row_addmul(combo, pcombo, factor)
         return v, combo, None
 
     def _feed(self, vec, combo):
@@ -465,7 +451,9 @@ class EchelonSolver:
         v, combo, lead = self._reduce(vec, combo)
         if lead is None:
             return combo
-        self.pivots[lead] = (v, combo)
+        self.pivots[lead] = v
+        if combo:
+            self.combos[lead] = combo
         return None
 
     def add(self, vec, tag=None):

@@ -450,8 +450,6 @@ def cup_d1_n3(t, f, g, h, l, window):
 
 
 def _is_tensorial_3(t):
-    if t.tensorial_adjacent is not None:
-        return True
     m32, m21, m31 = t.module(3, 2), t.module(2, 1), t.module(3, 1)
     d32 = m32.dim if m32 else 0
     d21 = m21.dim if m21 else 0

@@ -28,6 +28,7 @@ from trihoch import (
     tensor_over,
     validate_triangular,
 )
+from trihoch.spectral import _is_tensorial_3
 
 from instances import (
     FP,
@@ -359,7 +360,7 @@ class TestBuildTensorial:
         t = build_tensorial([d, sq, k],
                             [free_bimodule(FP, sq, d), free_bimodule(FP, k, sq)])
         assert validate_triangular(t) == []
-        assert t.tensorial_adjacent is not None
+        assert _is_tensorial_3(t)
         # (k (x) k^2) (x)_{k^2} (k^2 (x) dual) folds the middle to one copy
         assert t.block_dim(3, 1) == 1 * 2 * 2
 

@@ -425,6 +425,17 @@ class TestMainErrors:
         assert (code, out) == (1, "")
         assert err == "error: oracle check needs --max-degree at least 2\n"
 
+    @pytest.mark.parametrize("line", [
+        "algebra A\u00b2 dim 1", "algebra A1 dim \u00b2",
+        "mu \u00b2 2 1 : 0 0 0 1"], ids=["name", "dim", "mu_level"])
+    def test_non_ascii_digit(self, tmp_path, line):
+        # str.isdigit accepts a superscript two, which int() refuses
+        p = self.write(tmp_path, line + "\n", name="in.tri")
+        code, out, err = run([p])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(" at line 1\n")
+        assert "Traceback" not in err
+
     def test_bad_flag_value(self):
         code, out, err = run([str(DATA / "chain3.quiver"),
                               "--emit", "bogus"])

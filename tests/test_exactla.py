@@ -1,6 +1,7 @@
 """Exact linear algebra layer: golden cases over both ground fields plus
 randomized structural identities."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -92,14 +93,18 @@ class TestGoldens:
         assert matrix_rank(m) == 2 == m.ncols - kernel(m).dim
 
     def test_rank_eliminates_shorter_side(self, f, monkeypatch):
-        sizes = []
-        echelon = trihoch.exactla._echelon
+        sizes = []  # vectors fed to each solver
 
-        def recorded(field, rowdicts, **kw):
-            sizes.append(len(rowdicts))
-            return echelon(field, rowdicts, **kw)
+        class Recorded(EchelonSolver):
+            def __init__(self, field):
+                super().__init__(field)
+                sizes.append(0)
 
-        monkeypatch.setattr(trihoch.exactla, "_echelon", recorded)
+            def _feed(self, vec, combo):
+                sizes[-1] += 1
+                return super()._feed(vec, combo)
+
+        monkeypatch.setattr(trihoch.exactla, "EchelonSolver", Recorded)
         tall = [[1, 0, 2]] * 5 + [[0, 0, 0], [0, 1, 1], [1, 1, 3]]
         wide = [list(col) for col in zip(*tall)]
         for d in (tall, wide):
@@ -187,8 +192,8 @@ entry = st.integers(-4, 4)
 
 
 @st.composite
-def matrices(draw):
-    f = draw(st.sampled_from(FIELDS))
+def matrices(draw, fields=FIELDS):
+    f = draw(st.sampled_from(fields))
     nr = draw(st.integers(1, 5))
     nc = draw(st.integers(1, 5))
     cols = draw(st.lists(st.lists(entry, min_size=nr, max_size=nr),
@@ -202,8 +207,8 @@ sparse_entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, "1/2", "-2/3"])
 
 
 @st.composite
-def sparse_matrices(draw):
-    f = draw(st.sampled_from(FIELDS))
+def sparse_matrices(draw, fields=FIELDS):
+    f = draw(st.sampled_from(fields))
     nr = draw(st.integers(0, 8))
     nc = draw(st.integers(1, 8))
     cols = [[f.of(v) for v in draw(st.lists(sparse_entry, min_size=nr,
@@ -480,6 +485,29 @@ def test_solver_divides_out_untagged_vectors(case):
     # ``other`` ranges over the ambient space, inside the span or not
     assert (solver.express(other) is None) == bool(total.reduce(other))
     assert solver.express({m.nrows: f.one}) is None
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+@given(st.data())
+def test_elimination_leaves_inputs_unchanged(f, data):
+    # the solver keeps a pivot it never reduced as the caller's dict
+    m = data.draw(st.one_of(matrices((f,)), sparse_matrices((f,))))
+    extra = data.draw(st.lists(ambient_vectors(m), max_size=4))
+    cols = m.cols
+    saved = copy.deepcopy((cols, extra))
+    matrix_rank(m)
+    graded_rank(m, [0] * m.nrows)
+    kernel(m)
+    Subspace.from_vectors(f, m.nrows, cols)
+    assert (cols, extra) == saved
+    solver = EchelonSolver(f)
+    for k, vec in enumerate(cols):
+        solver.add(vec, k if k % 2 else None)
+        solver.express(vec)
+    for vec in extra:
+        solver.express(vec)
+        solver.add(vec)
+    assert (cols, extra) == saved
 
 
 def test_solver_rejects_outside_vector():

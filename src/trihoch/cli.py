@@ -90,18 +90,22 @@ def emit_quiver(q):
 
 
 def _coeff(field, tok, ln):
+    """``tok`` as a field element, read by ``Fraction`` from ASCII without
+    underscores, which ``Fraction`` alone would accept."""
     try:
-        return field.of(tok)
+        if tok.isascii() and "_" not in tok:
+            return field.of(tok)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad coefficient {tok!r} at line {ln}") from None
+        pass
+    raise InputError(f"bad coefficient {tok!r} at line {ln}")
 
 
-def _int(tok, bad, ln):
+def _int(tok, bad, ln=None):
     """``tok`` as an integer: ASCII digits after an optional minus sign.
-    Any other token is the input error ``bad`` at line ``ln``."""
+    Any other token is the input error ``bad``, at line ``ln`` if given."""
     digits = tok[1:] if tok[:1] == "-" else tok
     if not (digits.isascii() and digits.isdigit()):
-        raise InputError(f"{bad} at line {ln}")
+        raise InputError(bad if ln is None else f"{bad} at line {ln}")
     return int(tok)
 
 
@@ -516,11 +520,7 @@ def parse_field(spec):
     if spec == "rat":
         return QQ
     if spec.startswith("fp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError:
-            raise InputError(f"bad field spec {spec!r}") from None
-        return GF(p)
+        return GF(_int(spec[3:], f"bad field spec {spec!r}"))
     raise InputError(f"bad field spec {spec!r}; use rat or fp:<prime>")
 
 

@@ -19,10 +19,17 @@ product table of every term:
   Hom(Tbar^{(x) l}, T) with Tbar = T/k.1, built by ``build_bar_complex``
   from the multiplication table and the unit alone;
 - ``build_ext_complex``: cells B^{(x) q} (x) N (x) A^{(x) p} -> X, whose
-  cohomology is Ext over the pair (B, A);
+  cohomology is Ext over the pair (B, A); over the letter algebras of
+  ``over_unit_quotients`` it is the normalized complex, with cells
+  Bbar^{(x) q} (x) N (x) Abar^{(x) p} -> X;
 - ``build_tor_complex``: cells m2 (x) mid^{(x) q} (x) m1 -> k with
   contractions only, the dual of the chain complex computing Tor over
   the middle algebra.
+
+``over_unit_quotients`` is the one place that writes the normalization:
+it restricts bimodules over (B, A) to the letters of B/k.1 and A/k.1.
+``cohomology_dims`` ranks the differentials in order, and skips in each
+the columns that the pivots of the previous one show to be dependent.
 
 All matrices are sparse over an exact field.
 """
@@ -77,13 +84,22 @@ class CochainWindow:
         self.tags = tags
         self.kappa = kappa
 
-    def rank_of_delta(self, l):
+    def rank_of_delta(self, l, cleared=(), leads=None):
+        """Rank of delta_l without its columns in ``cleared``, which must be
+        pivot leads of a column elimination of delta_{l-1}, so that each
+        lies in the span of the columns to its right (see
+        ``cohomology_dims``).  Where the remaining columns are eliminated
+        by columns, the set ``leads`` gains the leads of their pivots,
+        indices of C^(l+1)."""
         if l < 0:
             return 0
         m = self.diffs[l]
+        if cleared:
+            cols = [x for c, x in enumerate(m.cols) if c not in cleared]
+            m = Matrix(m.field, m.nrows, len(cols), cols)
         if self.kappa is not None and self.kappa[l + 1] is not None:
-            return graded_rank(m, self.kappa[l + 1])
-        return matrix_rank(m)
+            return graded_rank(m, self.kappa[l + 1], leads)
+        return matrix_rank(m, leads)
 
     def __repr__(self):
         return f"CochainWindow(L={self.L}, dims {self.dims})"
@@ -93,12 +109,27 @@ def cohomology_dims(w, top=None):
     """Cohomology dimensions in degrees 0..top, by default 0..L, the
     window's reliable range (each degree needs both neighboring
     differentials, and degree L is the last with its outgoing differential
-    built).  Only delta_0..delta_top are ranked.
+    built).  Only delta_0..delta_top are ranked, in order.
 
     dim H^l = dim C^l - rank delta_l - rank delta_{l-1}.
+
+    Ranking delta_l skips the columns at the pivot leads of delta_{l-1}
+    wherever that was eliminated by columns ("clearing": Chen and Kerber,
+    "Persistent homology computation with a twist", EuroCG 2011).  Such a
+    pivot R lies in im delta_{l-1}, inside ker delta_l, and its other
+    entries sit above its lead, so column lead of delta_l is a combination
+    of the columns above it, and by descending induction every dropped
+    column is one of the kept columns above it: the rank stays.  Where
+    delta_{l-1} was eliminated by rows, its pivots lead at indices of
+    C^(l-1) and nothing is cleared.
     """
     top = w.L if top is None else top
-    ranks = [0] + [w.rank_of_delta(l) for l in range(top + 1)]
+    ranks = [0]
+    cleared = set()
+    for l in range(top + 1):
+        leads = set() if l < top else None
+        ranks.append(w.rank_of_delta(l, cleared, leads))
+        cleared = leads
     return [w.dims[l] - ranks[l + 1] - ranks[l] for l in range(top + 1)]
 
 
@@ -347,21 +378,67 @@ def _check_grading(m, row_keys, col_keys):
                     "graded differential has an entry crossing grades")
 
 
+def _unit_quotient(a, u):
+    """A/k.1 as a letter algebra, and the map from the basis indices of A
+    other than ``u`` to its letters; see ``over_unit_quotients``."""
+    f = a.field
+    unit = a.unit
+    if u is None:
+        u = next((k for k in sorted(unit) if unit[k] != f.zero), None)
+    # the zero algebra has 1 = 0, so there A/k.1 = A and no letter goes
+    letter = {k: i for i, k in enumerate(k for k in range(a.dim) if k != u)}
+    scale = {k: f.div(c, unit[u]) for k, c in unit.items() if k != u}
+    mul = {}
+    for (x, y), vec in a.mul.items():
+        if x == u or y == u:
+            continue
+        out = {k: c for k, c in vec.items() if k != u}
+        if u in vec:
+            f.row_addmul(out, scale, f.neg(vec[u]))
+        if out:
+            mul[(letter[x], letter[y])] = {letter[k]: c
+                                           for k, c in out.items()}
+    # A/k.1 is no algebra; the builders read only its dim and table
+    return FiniteDimAlgebra(f, len(letter), mul, {},
+                            label=f"{a.label}/k.1"), letter
+
+
+def over_unit_quotients(mods, units=(None, None)):
+    """The bimodules ``mods``, all over one pair (B, A), as bimodules over
+    the letter algebras of B/k.1 and A/k.1, which they share (one algebra
+    when B is A).  A complex built on them is the normalized one: the
+    cochains that vanish on every word holding a 1, quasi-isomorphic to
+    the full complex (Loday, Cyclic Homology, 1.1).
+
+    The basis of each algebra is changed once, the unit replacing a basis
+    vector e_u on which it has a nonzero coefficient c_u; ``units`` names
+    u for B and for A (by default the first such vector, and B's when B
+    is A).  The letters are the other basis vectors, which act by the old
+    tables; a product of two letters drops its unit coordinate, so its
+    coordinate k becomes m_k - m_u c_k / c_u.
+    """
+    B, A = mods[0].left_alg, mods[0].right_alg
+    bbar, bl = _unit_quotient(B, units[0])
+    abar, al = (bbar, bl) if A is B else _unit_quotient(A, units[1])
+    return [Bimodule(x.field, x.dim, bbar, abar,
+                     {(bl[a], m): vec for (a, m), vec in x.lact.items()
+                      if a in bl},
+                     {(m, al[a]): vec for (m, a), vec in x.ract.items()
+                      if a in al},
+                     label=x.label)
+            for x in mods]
+
+
 def bar_oracle(t, L=3, budget=DEFAULT_ORACLE_BUDGET):
     """The normalized bar complex Hom(Tbar^{(x) l}, T) of the assembled
     total algebra T, Tbar = T/k.1, graded by block displacement j - i on
-    both sides.  It is the subcomplex of cochains that vanish on words
-    holding a 1, quasi-isomorphic to the full bar complex (Loday, Cyclic
-    Homology, 1.1), so its cohomology is HH*(T, T); it is built from
-    nothing but the multiplication table and the unit.
+    both sides; its cohomology is HH*(T, T), and it is built from nothing
+    but the multiplication table and the unit.
 
-    The basis of T is changed once, the unit replacing a basis vector
-    e_u on which it has a nonzero coefficient c_u.  The unit lies in the
-    diagonal blocks, so e_u has grade 0.  The letters are the other basis
-    vectors, which act on T by the old tables; a product of two letters
-    drops its unit coordinate, so its coordinate k becomes
-    m_k - m_u c_k / c_u.  That term is nonzero only on a grade-0 product,
-    so the grading survives.
+    The unit replaces a basis vector e_u of grade 0 (``over_unit_quotients``;
+    the unit lies in the diagonal blocks).  The unit-coordinate term of a
+    product of two letters is nonzero only on a grade-0 product, so the
+    grading survives.
 
     The budget is checked against the full bar complex, so the refusal
     and the caller's window choice do not depend on the normalization.
@@ -376,28 +453,11 @@ def bar_oracle(t, L=3, budget=DEFAULT_ORACLE_BUDGET):
     unit = total.unit
     u = next((k for k in sorted(unit)
               if unit[k] != f.zero and weight[k] == 0), None)
-    # the zero algebra has 1 = 0, so there T/k.1 = T and no letter goes
-    letter = {k: i for i, k in enumerate(k for k in range(d) if k != u)}
-    scale = {k: f.div(c, unit[u]) for k, c in unit.items() if k != u}
-    mul = {}
-    for (a, b), vec in total.mul.items():
-        if a == u or b == u:
-            continue
-        out = {k: c for k, c in vec.items() if k != u}
-        if u in vec:
-            f.row_addmul(out, scale, f.neg(vec[u]))
-        if out:
-            mul[(letter[a], letter[b])] = {letter[k]: c
-                                           for k, c in out.items()}
-    # T/k.1 is no algebra; the bar builder reads only its dim and table
-    tbar = FiniteDimAlgebra(f, len(letter), mul, {}, label="T/k.1")
-    x = Bimodule(f, d, tbar, tbar,
-                 {(letter[a], m): vec for (a, m), vec in total.mul.items()
-                  if a != u},
-                 {(m, letter[a]): vec for (m, a), vec in total.mul.items()
-                  if a != u})
-    return build_bar_complex(tbar, x, L, budget=budget,
-                             grading=([weight[k] for k in letter], weight))
+    x, = over_unit_quotients(
+        [Bimodule(f, d, total, total, total.mul, total.mul)], (u, u))
+    return build_bar_complex(x.left_alg, x, L, budget=budget,
+                             grading=([weight[k] for k in range(d) if k != u],
+                                      weight))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from .algebra import Bimodule, is_separable, tensor_over
 from .errors import InputError, InternalInvariantError
 from .exactla import EchelonSolver, Matrix, Subspace, kernel, matrix_rank
 from .hochcomplex import (build_bar_complex, build_ext_complex,
-                          build_relative_complex, cohomology_dims)
+                          build_relative_complex, cohomology_dims,
+                          over_unit_quotients)
 from .trajectory import Jump, Stay, Trajectory, TrajectoryBasis
 
 
@@ -215,46 +216,48 @@ def chain_module(t, chain):
     return cur
 
 
+def _labeled_summands(t, L):
+    """{(p, q): [(label, dim)]} for the cells of E_1 with p + q <= L: HH
+    of each diagonal algebra in column 0, and in column p the Ext group of
+    each chain of p + 1 levels, in degree q.  Each comes from a normalized
+    complex over the unit quotients (``over_unit_quotients``): the bar
+    complex Hom(Abar_i^{(x) q}, A_i), and the Ext complex of the chain's
+    tensor product over Bbar and Abar."""
+    labeled = {}
+    for p in range(0, min(t.n, L + 1)):
+        summands = []
+        if p == 0:
+            for i in range(1, t.n + 1):
+                blk, = over_unit_quotients([x_block_bimodule(t, i, i)])
+                bw = build_bar_complex(blk.left_alg, blk, L)
+                summands.append((f"H(A{i})", cohomology_dims(bw)))
+        else:
+            for chain in combinations(range(1, t.n + 1), p + 1):
+                mod, blk = over_unit_quotients(
+                    [chain_module(t, chain),
+                     x_block_bimodule(t, chain[-1], chain[0])])
+                ew = build_ext_complex(mod, blk, L - p)
+                label = "Ext(" + "(x)".join(
+                    f"M[{chain[s + 1]},{chain[s]}]"
+                    for s in range(len(chain) - 2, -1, -1)) + ")"
+                summands.append((label, cohomology_dims(ew)))
+        for q in range(0, L - p + 1):
+            labeled[(p, q)] = [(lab, dims[q]) for (lab, dims) in summands]
+    return labeled
+
+
 def e1_structure_report(t, fc):
     """Compute every labeled summand of the first page independently
-    (bar complexes of the diagonal algebras for column 0, reduced Ext
-    complexes of chain tensor products for the higher columns), compare
-    with page 1 of ``fc``, the filtered window of t, and report
-    cell-by-cell agreement over its degrees 0..fc.window.L.
+    (``_labeled_summands``), compare with page 1 of ``fc``, the filtered
+    window of t, and report cell-by-cell agreement over its degrees
+    0..fc.window.L.
 
     Also reports whether the projectivity hypothesis behind the labeled
     description was detected (all strictly intermediate diagonal algebras
     separable)."""
-    n, L = t.n, fc.window.L
     page = compute_page(fc, 1)
-
-    hypothesis = all(is_separable(t.diag[i - 1]) for i in range(2, n))
-
-    labeled = {}   # (p, q) -> list of (label, dim)
-    for p in range(0, n):
-        ext_window = L - p
-        if ext_window < 0:
-            continue
-        if p == 0:
-            summands = []
-            for i in range(1, n + 1):
-                blk = x_block_bimodule(t, i, i)
-                bw = build_bar_complex(t.diag[i - 1], blk, ext_window)
-                dims = cohomology_dims(bw)
-                summands.append((f"H(A{i})", dims))
-        else:
-            summands = []
-            for chain in combinations(range(1, n + 1), p + 1):
-                mod = chain_module(t, chain)
-                blk = x_block_bimodule(t, chain[-1], chain[0])
-                ew = build_ext_complex(mod, blk, ext_window)
-                dims = cohomology_dims(ew)
-                label = "Ext(" + "(x)".join(
-                    f"M[{chain[s + 1]},{chain[s]}]"
-                    for s in range(len(chain) - 2, -1, -1)) + ")"
-                summands.append((label, dims))
-        for q in range(0, ext_window + 1):
-            labeled[(p, q)] = [(lab, dims[q]) for (lab, dims) in summands]
+    hypothesis = all(is_separable(t.diag[i - 1]) for i in range(2, t.n))
+    labeled = _labeled_summands(t, fc.window.L)
 
     cells = {}
     all_agree = True

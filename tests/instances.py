@@ -7,6 +7,8 @@ assembled ``TriangularAlgebra`` objects small enough (total dim <= 8 for
 the oracle suite) that the brute-force complex stays cheap.
 """
 
+import pathlib
+
 from trihoch import (
     GF,
     QQ,
@@ -20,9 +22,13 @@ from trihoch import (
     kernel,
     path_algebra,
 )
+from trihoch.cli import JobSpec, _build_algebra
 
 SEED = 20260821
 FP = GF(32003)
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+DATA_NAMES = sorted(p.name for p in DATA.iterdir())
 
 # menu entry kinds for random diagonal algebras
 KIND_FIELD, KIND_PRODUCT, KIND_DUAL = 0, 1, 2
@@ -211,3 +217,10 @@ def intersection_dim(u, v):
     f = u.field
     cols = list(u.rows) + [{k: f.neg(x) for k, x in b.items()} for b in v.rows]
     return kernel(Matrix(f, u.ambient_dim, len(cols), cols)).dim
+
+
+def data_algebra(name, f):
+    """The algebra of the input file data/<name> over ``f``, built as the
+    command line builds it."""
+    return _build_algebra(JobSpec((DATA / name).read_text(encoding="utf-8"),
+                                  field=f))

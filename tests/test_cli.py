@@ -436,6 +436,22 @@ class TestMainErrors:
         assert err.startswith("error: ") and err.endswith(" at line 1\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,unit,bad", [
+        ("fp:٣", "1", "fp:٣"), ("fp:1_1", "1", "fp:1_1"),
+        ("fp: 11", "1", "fp: 11"), ("fp:+11", "1", "fp:+11"),
+        ("rat", "١", "١"), ("rat", "0_1", "0_1"),
+    ], ids=["field_arabic_indic", "field_underscore", "field_space",
+            "field_plus", "coeff_arabic_indic", "coeff_underscore"])
+    def test_numbers_read_as_ascii(self, tmp_path, field, unit, bad):
+        # int() and Fraction() read each token as a number: the field as
+        # GF(3) or GF(11) and the unit as 1, which makes a valid algebra
+        p = self.write(tmp_path, "algebra A1 dim 1\nunit A1 : " + unit
+                       + "\nmul A1 : 0 0 0 1\n", name="in.tri")
+        code, out, err = run([p, "--field", field])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(bad) in err
+
     def test_bad_flag_value(self):
         code, out, err = run([str(DATA / "chain3.quiver"),
                               "--emit", "bogus"])
@@ -507,9 +523,9 @@ class TestSharedWindow:
             built.append(build(*args, **kwargs))
             return built[-1]
 
-        def counted_rank(w, l):
+        def counted_rank(w, l, *clearing):
             ranked.append((w, l))
-            return rank(w, l)
+            return rank(w, l, *clearing)
 
         for mod in (hochcomplex, spectral):
             monkeypatch.setattr(mod, "build_relative_complex", counted_build)

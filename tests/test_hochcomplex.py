@@ -3,6 +3,7 @@ the brute-force oracle, and the reduced Ext/Tor complexes."""
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,19 +28,25 @@ from trihoch import (
     build_relative_complex,
     build_tor_complex,
     center,
+    chain_module,
     cohomology_dims,
     compute_levels,
+    matrix_rank,
+    over_unit_quotients,
     parse_triangular_file,
     path_algebra,
     validate_triangular,
+    x_block_bimodule,
 )
 
 from trihoch.hochcomplex import _check_grading, _layout, _word_window
 
 from instances import (
+    DATA_NAMES,
     FP,
     assert_composes_to_zero,
     chain_algebra,
+    data_algebra,
     free_bimodule,
     kronecker_algebra,
     nilpotent_action_algebra,
@@ -417,6 +424,77 @@ class TestCohomologyDims:
         w = CochainWindow(QQ, 1, None, [2, 3, 1],
                           [Matrix(QQ, 3, 2), Matrix(QQ, 1, 3)])
         assert cohomology_dims(w) == [2, 3]
+
+
+def plain_cohomology_dims(w):
+    """dim C^l - rank delta_l - rank delta_{l-1} for l = 0..L, with one
+    plain ``matrix_rank`` of each whole differential: no column cleared
+    and no grading used."""
+    ranks = [0] + [matrix_rank(m) for m in w.diffs]
+    return [w.dims[l] - ranks[l + 1] - ranks[l] for l in range(w.L + 1)]
+
+
+def every_window(t, L):
+    """(kind, window) for every window kind built from ``t`` at window L:
+    the relative complex; the bar oracle at the largest window up to L
+    whose estimate stays within 10^6 entries, if any; the normalized bar
+    complex of each diagonal algebra and the normalized Ext complex of
+    each chain of levels, as ``e1_structure_report`` builds them; and the
+    Tor complex of each pair of adjacent blocks."""
+    yield "relative", build_relative_complex(t, L)
+    d = t.total.dim
+    lw = max((l for l in range(1, L + 1)
+              if bar_budget_estimate(d, d, l) <= 10 ** 6), default=None)
+    if lw is not None:
+        yield "oracle", bar_oracle(t, lw)
+    for i in range(1, t.n + 1):
+        x, = over_unit_quotients([x_block_bimodule(t, i, i)])
+        yield f"bar A{i}", build_bar_complex(x.left_alg, x, L)
+    for p in range(1, t.n):
+        for chain in combinations(range(1, t.n + 1), p + 1):
+            n_mod, x = over_unit_quotients(
+                [chain_module(t, chain),
+                 x_block_bimodule(t, chain[-1], chain[0])])
+            yield f"ext {chain}", build_ext_complex(n_mod, x, L)
+    for i, j, k in combinations(range(1, t.n + 1), 3):
+        m2, m1 = t.module(k, j), t.module(j, i)
+        if m2 is not None and m1 is not None:
+            yield f"tor {k}{j}{i}", build_tor_complex(m2, m1, t.diag[j - 1], L)
+
+
+FIELDS = [QQ, GF(32003), GF(2)]
+FIELD_IDS = ["QQ", "F32003", "F2"]
+
+
+class TestClearing:
+    """``cohomology_dims`` skips the columns of delta_l at the pivot leads
+    of delta_{l-1}; on every window kind it must give what one plain rank
+    per differential gives."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_suite2(self, suite2, field):
+        for inst in suite2:
+            for kind, w in every_window(over_field(inst.t, field), 3):
+                assert cohomology_dims(w) == plain_cohomology_dims(w), \
+                    (inst.name, kind)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("name", DATA_NAMES)
+    def test_data_inputs(self, name, field):
+        t = data_algebra(name, field)
+        for kind, w in every_window(t, 3 if t.total.dim <= 13 else 1):
+            assert cohomology_dims(w) == plain_cohomology_dims(w), kind
+
+    def test_row_side_clears_nothing(self):
+        """delta_0 has one nonzero row and two nonzero columns, so it is
+        eliminated by rows, and its pivot leads at index 0 of C^0.  Taken
+        as an index of C^1, it would clear the one nonzero column of
+        delta_1."""
+        w = CochainWindow(QQ, 1, None, [3, 2, 1],
+                          [Matrix(QQ, 2, 3, [{1: 1}, {1: 1}, {}]),
+                           Matrix(QQ, 1, 2, [{0: 1}, {}])])
+        assert_composes_to_zero(w.diffs[1], w.diffs[0])
+        assert cohomology_dims(w) == plain_cohomology_dims(w) == [2, 0]
 
 
 def cochain_differentials(w):

@@ -2,7 +2,10 @@
 first-page decomposition, the cup-product form of the first differential,
 and the degeneration checks."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from trihoch import (
     GF,
@@ -20,6 +23,7 @@ from trihoch import (
     Matrix,
     Subspace,
     build_bar_complex,
+    build_ext_complex,
     build_filtered,
     build_tensorial,
     chain_module,
@@ -35,18 +39,22 @@ from trihoch import (
     validate_triangular,
     x_block_bimodule,
 )
-from trihoch.spectral import _correction_solver, _d2_class_vanishes
+from trihoch.spectral import (_correction_solver, _d2_class_vanishes,
+                              _labeled_summands)
 
 from instances import (
+    DATA_NAMES,
     FP,
     assert_composes_to_zero,
     chain_algebra,
+    data_algebra,
     embedding,
     free_bimodule,
     nilpotent_action_algebra,
     thin_bimodule,
 )
-from test_hochcomplex import over_field
+from test_hochcomplex import (FIELD_IDS, FIELDS, over_field,
+                              plain_cohomology_dims)
 from test_quiver import branching_quiver
 
 
@@ -246,6 +254,92 @@ def test_pages_leave_the_window_unchanged(suite2, field):
             inst.name
 
 
+@st.composite
+def barcoded_windows(draw):
+    """A tagged window with a known barcode, as (FilteredComplex,
+    intervals, unpaired).
+
+    An interval (l, s, t) is a vector x of degree l and tag s with
+    dx = y, a vector of degree l + 1 and tag t >= s; an unpaired vector
+    (l, s) has degree l, tag s and no differential in or out.  No tag
+    exceeds its degree.  The basis
+    of each degree is shuffled, then changed by random moves b_i -> b_i -
+    c b_j with tag j >= tag i, which keep the filtration: each replaces
+    column i of delta_l by column i - c column j, and adds c times row i
+    of delta_(l-1) to its row j."""
+    f = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 4))
+    L = draw(st.integers(1, 3))
+
+    def tag(lo, l):
+        # at most the degree, as a jump count is, so that q = l - p >= 0
+        return draw(st.integers(lo, min(l, n - 1)))
+
+    intervals = []
+    for l in range(L + 1):
+        for _ in range(draw(st.integers(0, 3))):
+            s = tag(0, l)
+            intervals.append((l, s, tag(s, l + 1)))
+    unpaired = [(l, tag(0, l)) for l in range(L + 2)
+                for _ in range(draw(st.integers(0, 2)))]
+    # each degree's basis: ("x" or "y", interval number) or ("u", tag)
+    vectors = [[] for _ in range(L + 2)]
+    for k, (l, s, t) in enumerate(intervals):
+        vectors[l].append(("x", k, s))
+        vectors[l + 1].append(("y", k, t))
+    for l, s in unpaired:
+        vectors[l].append(("u", None, s))
+    vectors = [draw(st.permutations(vs)) for vs in vectors]
+    tags = [[v[2] for v in vs] for vs in vectors]
+    dims = [len(vs) for vs in vectors]
+    cols = []
+    for l in range(L + 1):
+        at = {v[1]: i for i, v in enumerate(vectors[l + 1]) if v[0] == "y"}
+        cols.append([{at[v[1]]: f.one} if v[0] == "x" else {}
+                     for v in vectors[l]])
+    for l, i, j, c in draw(st.lists(st.tuples(
+            st.integers(0, L + 1), st.integers(0, 7), st.integers(0, 7),
+            st.integers(1, 4)), max_size=12)):
+        c = f.of(c)
+        if (i == j or max(i, j) >= dims[l] or tags[l][j] < tags[l][i]
+                or c == f.zero):
+            continue
+        if l <= L:
+            f.row_addmul(cols[l][i], cols[l][j], f.neg(c))
+        if l >= 1:
+            for v in cols[l - 1]:
+                if i in v:
+                    f.row_addmul(v, {j: f.mul(c, v[i])}, f.one)
+    w = CochainWindow(f, L, None, dims,
+                      [Matrix(f, dims[l + 1], dims[l], cols[l])
+                       for l in range(L + 1)], tags=tags)
+    return FilteredComplex(w, n), intervals, unpaired
+
+
+@given(barcoded_windows())
+def test_pages_follow_the_barcode(case):
+    """HH counts the unpaired vectors.  On page r an interval (l, s, t)
+    lives at the cells of x and y exactly when r <= t - s, and d_(t-s) is
+    nonzero on it, so the rank of d_r out of a cell is the number of its
+    intervals with t - s = r."""
+    fc, intervals, unpaired = case
+    L = fc.window.L
+    assert cohomology_dims(fc.window) == \
+        [sum(k == l for k, _ in unpaired) for l in range(L + 1)]
+    for r in range(fc.n + 1):
+        page = compute_page(fc, r)
+        alive = [(k, s, t) for k, s, t in intervals if t - s >= r]
+        for (p, q), dim in page.dims.items():
+            at = (p + q, p)
+            assert dim == (sum((k, s) == at for k, s in unpaired)
+                           + sum((k, s) == at for k, s, _ in alive)
+                           + sum((k + 1, t) == at for k, _, t in alive)), \
+                (r, p, q)
+        for (p, q), d in page.d.items():
+            assert matrix_rank(d) == sum((k, s, t - s) == (p + q, p, r)
+                                         for k, s, t in intervals), (r, p, q)
+
+
 class TestE1Structure:
     def test_branching_labeled_row(self, branching):
         t, _ = branching
@@ -302,6 +396,49 @@ class TestE1Structure:
                              thin_bimodule(FP, k3, mid)])
         report = e1_structure_report(t, build_filtered(t, 2))
         assert not report["projective_hypothesis"]
+
+
+def full_summand_dims(t, L):
+    """{(p, q): [dim]} over the summands of ``_labeled_summands``, each
+    from its unnormalized complex with one plain rank per differential:
+    the full bar complex Hom(A_i^{(x) q}, A_i), and the full Ext complex
+    of the chain's tensor product over B and A."""
+    out = {}
+    for p in range(min(t.n, L + 1)):
+        if p == 0:
+            ws = [build_bar_complex(t.diag[i - 1], x_block_bimodule(t, i, i), L)
+                  for i in range(1, t.n + 1)]
+        else:
+            ws = [build_ext_complex(chain_module(t, chain),
+                                    x_block_bimodule(t, chain[-1], chain[0]),
+                                    L - p)
+                  for chain in combinations(range(1, t.n + 1), p + 1)]
+        dims = [plain_cohomology_dims(w) for w in ws]
+        for q in range(L - p + 1):
+            out[(p, q)] = [d[q] for d in dims]
+    return out
+
+
+class TestNormalizedSummands:
+    """The labeled E_1 summands come from the normalized bar and Ext
+    complexes; their dimensions must be those of the full complexes."""
+
+    @staticmethod
+    def check(t, L):
+        got = {cell: [d for _, d in summands]
+               for cell, summands in _labeled_summands(t, L).items()}
+        assert got == full_summand_dims(t, L)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_suite2(self, suite2, field):
+        for inst in suite2:
+            self.check(over_field(inst.t, field), 4)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("name", DATA_NAMES)
+    def test_data_inputs(self, name, field):
+        t = data_algebra(name, field)
+        self.check(t, 3 if t.total.dim <= 13 else 1)
 
 
 class TestCupProducts:

@@ -84,13 +84,13 @@ class CochainWindow:
         self.tags = tags
         self.kappa = kappa
 
-    def rank_of_delta(self, l, cleared=(), leads=None):
+    def rank_of_delta(self, l, cleared, leads):
         """Rank of delta_l without its columns in ``cleared``, which must be
         pivot leads of a column elimination of delta_{l-1}, so that each
         lies in the span of the columns to its right (see
-        ``cohomology_dims``).  Where the remaining columns are eliminated
-        by columns, the set ``leads`` gains the leads of their pivots,
-        indices of C^(l+1)."""
+        ``cohomology_dims``); an empty set clears nothing.  Where the
+        remaining columns are eliminated by columns and ``leads`` is a set,
+        it gains the leads of their pivots, indices of C^(l+1)."""
         if l < 0:
             return 0
         m = self.diffs[l]
@@ -378,13 +378,12 @@ def _check_grading(m, row_keys, col_keys):
                     "graded differential has an entry crossing grades")
 
 
-def _unit_quotient(a, u):
+def _unit_quotient(a):
     """A/k.1 as a letter algebra, and the map from the basis indices of A
-    other than ``u`` to its letters; see ``over_unit_quotients``."""
+    that stay to its letters; see ``over_unit_quotients``."""
     f = a.field
     unit = a.unit
-    if u is None:
-        u = next((k for k in sorted(unit) if unit[k] != f.zero), None)
+    u = next((k for k in sorted(unit) if unit[k] != f.zero), None)
     # the zero algebra has 1 = 0, so there A/k.1 = A and no letter goes
     letter = {k: i for i, k in enumerate(k for k in range(a.dim) if k != u)}
     scale = {k: f.div(c, unit[u]) for k, c in unit.items() if k != u}
@@ -403,30 +402,30 @@ def _unit_quotient(a, u):
                             label=f"{a.label}/k.1"), letter
 
 
-def over_unit_quotients(mods, units=(None, None)):
+def over_unit_quotients(mods):
     """The bimodules ``mods``, all over one pair (B, A), as bimodules over
     the letter algebras of B/k.1 and A/k.1, which they share (one algebra
-    when B is A).  A complex built on them is the normalized one: the
+    when B is A); and the map from the basis indices of B that stay to
+    their letters.  A complex built on them is the normalized one: the
     cochains that vanish on every word holding a 1, quasi-isomorphic to
     the full complex (Loday, Cyclic Homology, 1.1).
 
-    The basis of each algebra is changed once, the unit replacing a basis
-    vector e_u on which it has a nonzero coefficient c_u; ``units`` names
-    u for B and for A (by default the first such vector, and B's when B
-    is A).  The letters are the other basis vectors, which act by the old
-    tables; a product of two letters drops its unit coordinate, so its
-    coordinate k becomes m_k - m_u c_k / c_u.
+    The basis of each algebra is changed once, the unit replacing the
+    first basis vector e_u on which it has a nonzero coefficient c_u.  The
+    letters are the other basis vectors, which act by the old tables; a
+    product of two letters drops its unit coordinate, so its coordinate k
+    becomes m_k - m_u c_k / c_u.
     """
     B, A = mods[0].left_alg, mods[0].right_alg
-    bbar, bl = _unit_quotient(B, units[0])
-    abar, al = (bbar, bl) if A is B else _unit_quotient(A, units[1])
+    bbar, bl = _unit_quotient(B)
+    abar, al = (bbar, bl) if A is B else _unit_quotient(A)
     return [Bimodule(x.field, x.dim, bbar, abar,
                      {(bl[a], m): vec for (a, m), vec in x.lact.items()
                       if a in bl},
                      {(m, al[a]): vec for (m, a), vec in x.ract.items()
                       if a in al},
                      label=x.label)
-            for x in mods]
+            for x in mods], bl
 
 
 def bar_oracle(t, L=3, budget=DEFAULT_ORACLE_BUDGET):
@@ -435,8 +434,9 @@ def bar_oracle(t, L=3, budget=DEFAULT_ORACLE_BUDGET):
     both sides; its cohomology is HH*(T, T), and it is built from nothing
     but the multiplication table and the unit.
 
-    The unit replaces a basis vector e_u of grade 0 (``over_unit_quotients``;
-    the unit lies in the diagonal blocks).  The unit-coordinate term of a
+    The unit replaces a basis vector e_u (``over_unit_quotients``) of
+    grade 0, as the unit lies in the diagonal blocks.  The unit-coordinate
+    term of a
     product of two letters is nonzero only on a grade-0 product, so the
     grading survives.
 
@@ -450,14 +450,10 @@ def bar_oracle(t, L=3, budget=DEFAULT_ORACLE_BUDGET):
     if required > budget:
         raise BudgetExceeded(required, budget)
     weight = [j - i for (j, i) in t.block_of]
-    unit = total.unit
-    u = next((k for k in sorted(unit)
-              if unit[k] != f.zero and weight[k] == 0), None)
-    x, = over_unit_quotients(
-        [Bimodule(f, d, total, total, total.mul, total.mul)], (u, u))
+    (x,), letter = over_unit_quotients(
+        [Bimodule(f, d, total, total, total.mul, total.mul)])
     return build_bar_complex(x.left_alg, x, L, budget=budget,
-                             grading=([weight[k] for k in range(d) if k != u],
-                                      weight))
+                             grading=([weight[k] for k in letter], weight))
 
 
 # ---------------------------------------------------------------------------

@@ -228,12 +228,12 @@ def _labeled_summands(t, L):
         summands = []
         if p == 0:
             for i in range(1, t.n + 1):
-                blk, = over_unit_quotients([x_block_bimodule(t, i, i)])
+                (blk,), _ = over_unit_quotients([x_block_bimodule(t, i, i)])
                 bw = build_bar_complex(blk.left_alg, blk, L)
                 summands.append((f"H(A{i})", cohomology_dims(bw)))
         else:
             for chain in combinations(range(1, t.n + 1), p + 1):
-                mod, blk = over_unit_quotients(
+                (mod, blk), _ = over_unit_quotients(
                     [chain_module(t, chain),
                      x_block_bimodule(t, chain[-1], chain[0])])
                 ew = build_ext_complex(mod, blk, L - p)

@@ -32,14 +32,14 @@ from trihoch import (
     cohomology_dims,
     compute_levels,
     matrix_rank,
-    over_unit_quotients,
     parse_triangular_file,
     path_algebra,
     validate_triangular,
     x_block_bimodule,
 )
 
-from trihoch.hochcomplex import _check_grading, _layout, _word_window
+from trihoch.hochcomplex import (_check_grading, _layout, _word_window,
+                                 over_unit_quotients)
 
 from instances import (
     DATA_NAMES,
@@ -448,11 +448,11 @@ def every_window(t, L):
     if lw is not None:
         yield "oracle", bar_oracle(t, lw)
     for i in range(1, t.n + 1):
-        x, = over_unit_quotients([x_block_bimodule(t, i, i)])
+        (x,), _ = over_unit_quotients([x_block_bimodule(t, i, i)])
         yield f"bar A{i}", build_bar_complex(x.left_alg, x, L)
     for p in range(1, t.n):
         for chain in combinations(range(1, t.n + 1), p + 1):
-            n_mod, x = over_unit_quotients(
+            (n_mod, x), _ = over_unit_quotients(
                 [chain_module(t, chain),
                  x_block_bimodule(t, chain[-1], chain[0])])
             yield f"ext {chain}", build_ext_complex(n_mod, x, L)

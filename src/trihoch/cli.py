@@ -478,8 +478,10 @@ def _degeneration_section(t, fc, emit):
 def run_job(job):
     """Execute one job and return the full report text; raises on any
     input, invariant, or oracle failure without emitting partial output.
-    Every report reads one filtered window, built through degree L+1, and
-    its caches; delta_0..delta_{L-1} are ranked for HH^0..HH^{L-1} only.
+    Every report reads one filtered window, built through degree L+1;
+    ``pages`` and ``degeneration-check`` share its cycle-space cache, and
+    ``e1-structure`` ranks its graded pieces instead.  delta_0..delta_{L-1}
+    are ranked for HH^0..HH^{L-1} only.
     A degeneration check the algebra does not satisfy is refused before
     the window is built."""
     t = _build_algebra(job)

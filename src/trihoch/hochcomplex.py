@@ -68,9 +68,11 @@ class Cell:
 class CochainWindow:
     """Degrees 0..L+1 with differentials delta_l for l <= L.
 
-    cells[l] lists the summands of degree l in basis order; tags[l] gives
-    the filtration tag of each basis vector (None when unfiltered);
-    kappa[l] optionally grades the basis for split rank computations.
+    cells[l] lists the summands of degree l in basis order (cells is None
+    for a window not laid out in cells, such as a graded piece or a
+    hand-built one); tags[l] gives the filtration tag of each basis vector
+    (None when unfiltered); kappa[l] optionally grades the basis for split
+    rank computations.
     """
 
     __slots__ = ("field", "L", "cells", "dims", "diffs", "tags", "kappa")

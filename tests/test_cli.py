@@ -560,6 +560,39 @@ class TestSharedWindow:
         assert [(w is built[0], l) for w, l in ranked] == \
             [(True, l) for l in range(L)]
 
+    @pytest.mark.parametrize("field", ["rat", "fp:32003"])
+    @pytest.mark.parametrize("name", [
+        "branching4.tri", "kronecker.quiver", "triangle_boundary.simplicial"])
+    def test_e1_structure_makes_no_page(self, monkeypatch, name, field):
+        """``e1-structure`` reads page 1 from the graded pieces: alone it
+        computes no page and no cycle space, and next to ``pages`` it
+        prints what the two reports print alone."""
+        def job(reports):
+            return run_job(JobSpec(read(name), field=parse_field(field),
+                                   max_degree=3, reports=reports))
+
+        calls = []
+        page, z_space = spectral.compute_page, spectral.FilteredComplex.z_space
+
+        def counted_page(*args):
+            calls.append("compute_page")
+            return page(*args)
+
+        def counted_z_space(*args):
+            calls.append("z_space")
+            return z_space(*args)
+
+        for mod in (cli, spectral):
+            monkeypatch.setattr(mod, "compute_page", counted_page)
+        monkeypatch.setattr(spectral.FilteredComplex, "z_space",
+                            counted_z_space)
+        e1 = job(("e1-structure",))
+        assert calls == [] and "agreement: all cells" in e1
+        pages = job(("pages",))
+        assert calls
+        assert job(("pages", "e1-structure")) == "\n".join([pages, e1])
+        assert job(("e1-structure", "pages")) == "\n".join([e1, pages])
+
     @pytest.mark.parametrize("report", [
         "pages", "e1-structure", "degeneration-check"])
     def test_reports_without_hh_rank_nothing(self, monkeypatch, report):

@@ -40,7 +40,7 @@ from trihoch import (
     x_block_bimodule,
 )
 from trihoch.spectral import (_correction_solver, _d2_class_vanishes,
-                              _labeled_summands)
+                              _labeled_summands, e1_dims)
 
 from instances import (
     DATA_NAMES,
@@ -316,6 +316,16 @@ def barcoded_windows(draw):
     return FilteredComplex(w, n), intervals, unpaired
 
 
+def barcode_dim(intervals, unpaired, r, p, q):
+    """dim E_r^{p,q} of a barcoded window: the unpaired vectors at the
+    cell, and both ends of every interval there with t - s >= r."""
+    at = (p + q, p)
+    alive = [(k, s, t) for k, s, t in intervals if t - s >= r]
+    return (sum((k, s) == at for k, s in unpaired)
+            + sum((k, s) == at for k, s, _ in alive)
+            + sum((k + 1, t) == at for k, _, t in alive))
+
+
 @given(barcoded_windows())
 def test_pages_follow_the_barcode(case):
     """HH counts the unpaired vectors.  On page r an interval (l, s, t)
@@ -328,16 +338,55 @@ def test_pages_follow_the_barcode(case):
         [sum(k == l for k, _ in unpaired) for l in range(L + 1)]
     for r in range(fc.n + 1):
         page = compute_page(fc, r)
-        alive = [(k, s, t) for k, s, t in intervals if t - s >= r]
         for (p, q), dim in page.dims.items():
-            at = (p + q, p)
-            assert dim == (sum((k, s) == at for k, s in unpaired)
-                           + sum((k, s) == at for k, s, _ in alive)
-                           + sum((k + 1, t) == at for k, _, t in alive)), \
-                (r, p, q)
+            assert dim == barcode_dim(intervals, unpaired, r, p, q), (r, p, q)
         for (p, q), d in page.d.items():
             assert matrix_rank(d) == sum((k, s, t - s) == (p + q, p, r)
                                          for k, s, t in intervals), (r, p, q)
+
+
+class TestGradedE1:
+    """``e1_dims`` reads page 1 as H(gr^p C) by ranks alone; it must give
+    the dimensions of ``compute_page(fc, 1)``."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_suite2(self, suite2, field):
+        for inst in suite2:
+            fc = build_filtered(over_field(inst.t, field), L=4)
+            assert e1_dims(fc) == compute_page(fc, 1).dims, inst.name
+
+    # the torus is left out: its page 1 alone takes 13 s and 1.3 GB at L=2
+    @pytest.mark.parametrize(
+        "name", [n for n in DATA_NAMES if n != "torus.simplicial"])
+    def test_data_inputs(self, name):
+        t = data_algebra(name, QQ)
+        for L in (2, 3) if t.total.dim <= 13 else (2,):
+            fc = build_filtered(t, L)
+            assert e1_dims(fc) == compute_page(fc, 1).dims, L
+
+    @given(barcoded_windows())
+    def test_follows_the_barcode(self, case):
+        """gr^p C keeps the two ends of an interval apart exactly when
+        t > s, so E_1 is the unpaired vectors and both ends of every
+        interval with t - s >= 1."""
+        fc, intervals, unpaired = case
+        assert e1_dims(fc) == {
+            (p, q): barcode_dim(intervals, unpaired, 1, p, q)
+            for (p, q) in compute_page(fc, 1).dims}
+
+    def test_graded_piece(self):
+        """gr^1 of a hand-built window keeps the vectors of tag 1, and delta
+        cut to them, renumbered in basis order."""
+        w = CochainWindow(QQ, 1, None, [2, 3, 2],
+                          [Matrix(QQ, 3, 2, [{0: 1, 2: 2}, {1: 1, 2: 3}]),
+                           Matrix(QQ, 2, 3, [{0: -2, 1: 4}, {0: -3, 1: 6},
+                                             {0: 1, 1: -2}])],
+                          tags=[[1, 0], [1, 0, 1], [1, 2]])
+        assert_composes_to_zero(w.diffs[1], w.diffs[0])
+        g = FilteredComplex(w, 3).graded(1)
+        assert g.dims == [1, 2, 1] and g.tags is None and g.cells is None
+        assert [d.cols for d in g.diffs] == [[{0: 1, 1: 2}],
+                                             [{0: -2}, {0: 1}]]
 
 
 class TestE1Structure:

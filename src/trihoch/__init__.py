@@ -18,7 +18,7 @@ from .trajectory import (Jump, Stay, Trajectory, TrajectoryBasis,
 from .hochcomplex import (Cell, CochainWindow, DEFAULT_ORACLE_BUDGET,
                           bar_budget_estimate, bar_oracle, build_bar_complex,
                           build_ext_complex, build_relative_complex,
-                          build_tor_complex, cohomology_dims)
+                          cohomology_dims)
 from .spectral import (FilteredComplex, SpectralPage, build_filtered,
                        chain_module, check_degeneration_A2k, compute_page,
                        cup_d1_general, cup_d1_n3, e1_structure_report,

@@ -28,6 +28,7 @@ failure, 3 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra,
@@ -360,11 +361,12 @@ def _build_algebra(job):
 def _pages_section(t, fc, L, emit):
     lines = []
     for r in range(t.n + 1):
-        page = compute_page(fc, r)
+        # only the dims are kept, so a page is gone before the next starts
+        dims = compute_page(fc, r).dims
         if emit == "tsv":
             for p in range(t.n):
                 for q in range(L + 1):
-                    val = page.dims.get((p, q), "?") if p + q <= L else "?"
+                    val = dims.get((p, q), "?") if p + q <= L else "?"
                     lines.append(f"pages\t{r}\t{p}\t{q}\t{val}")
             continue
         lines.append(f"[pages] r={r}")
@@ -374,7 +376,7 @@ def _pages_section(t, fc, L, emit):
         for q in range(L, -1, -1):
             row = f"{q:>5} |"
             for p in range(t.n):
-                val = page.dims.get((p, q), "?") if p + q <= L else "?"
+                val = dims.get((p, q), "?") if p + q <= L else "?"
                 row += f"{val:>6}"
             lines.append(row)
         lines.append("")
@@ -526,7 +528,9 @@ def parse_field(spec):
     raise InputError(f"bad field spec {spec!r}; use rat or fp:<prime>")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line's parser, built on first use and then reused."""
     ap = _ArgumentParser(
         prog="trihoch",
         description="Hochschild cohomology of triangular algebras via the "
@@ -542,9 +546,13 @@ def main(argv=None):
     ap.add_argument("--emit", choices=("table", "tsv"), default="table")
     ap.add_argument("--oracle-budget", type=int,
                     default=DEFAULT_ORACLE_BUDGET, metavar="entries")
+    return ap
+
+
+def main(argv=None):
     oom = False
     try:
-        ns = ap.parse_args(argv)
+        ns = _parser().parse_args(argv)
         try:
             with open(ns.input, encoding="utf-8") as fh:
                 text = fh.read()

@@ -9,11 +9,18 @@ block.  On a word b_0 ... b_k the differential is
 
 ``_word_window`` is the one place that writes this sign rule and the
 index arithmetic; each public builder lays out its cells and names the
-product table of every term:
+product table of every term.  A term's batch of entries depends only on
+its kind, its table and the shapes of its two cells, so within one call
+each batch is planned once (field-coerced and signed, zeros dropped, its
+range bounds taken) and replayed at the offsets of every cell pair of
+that shape.  The builders are:
 
 - ``build_relative_complex``: the complex of a triangular algebra relative
   to its diagonal, one cell per trajectory, each basis vector tagged by
-  the jump count that filters it;
+  the jump count that filters it.  Cells are keyed by plain tuples, the
+  (source, target) pair of each move and then the source level, so the
+  cells a term reads are found by slicing the key, and ``Cell.key`` is
+  (trajectory, (target, source));
 - ``build_bar_complex``: the classical complex Hom(T^{(x) l}, X);
 - ``bar_oracle``: the independent oracle, the normalized complex
   Hom(Tbar^{(x) l}, T) with Tbar = T/k.1, built by ``build_bar_complex``
@@ -21,10 +28,7 @@ product table of every term:
 - ``build_ext_complex``: cells B^{(x) q} (x) N (x) A^{(x) p} -> X, whose
   cohomology is Ext over the pair (B, A); over the letter algebras of
   ``over_unit_quotients`` it is the normalized complex, with cells
-  Bbar^{(x) q} (x) N (x) Abar^{(x) p} -> X;
-- ``build_tor_complex``: cells m2 (x) mid^{(x) q} (x) m1 -> k with
-  contractions only, the dual of the chain complex computing Tor over
-  the middle algebra.
+  Bbar^{(x) q} (x) N (x) Abar^{(x) p} -> X.
 
 ``over_unit_quotients`` is the one place that writes the normalization:
 it restricts bimodules over (B, A) to the letters of B/k.1 and A/k.1.
@@ -41,8 +45,7 @@ from math import prod
 from .algebra import Bimodule, FiniteDimAlgebra
 from .errors import BudgetExceeded, InputError, InternalInvariantError
 from .exactla import Matrix, graded_rank, matrix_rank
-from .trajectory import (Jump, Stay, Trajectory, TrajectoryBasis,
-                         enumerate_trajectories)
+from .trajectory import enumerate_trajectories
 
 DEFAULT_ORACLE_BUDGET = 10 ** 7
 
@@ -141,53 +144,73 @@ def cohomology_dims(w, top=None):
 
 def _layout(shapes):
     """One degree's cells in basis order from (key, slot dims, coefficient
-    dim, tag) shapes, empty cells dropped: dict key -> (Cell, slot dims)."""
+    dim, tag[, name]) shapes, empty cells dropped: dict key -> (Cell, slot
+    dims).  A cell's ``key`` is its name, by default the key itself."""
     out = {}
     offset = 0
-    for key, slots, xdim, tag in shapes:
-        cell = Cell(key, offset, prod(slots), xdim, tag)
+    for key, slots, xdim, tag, *name in shapes:
+        cell = Cell(name[0] if name else key, offset, prod(slots), xdim, tag)
         if cell.dim:
             out[key] = (cell, slots)
             offset += cell.dim
     return out
 
 
-def _bases(offset, pre, block, post, x, inner):
-    """Flat indices of a cell's basis vectors with the touched digits at
-    zero: ``pre`` words ahead of them (``block`` apart), ``post`` behind,
-    coefficient stride ``x`` and ``inner`` untouched coefficients."""
-    return [offset + (q * block + p) * x + i
+def _bases(pre, block, post, x, inner):
+    """Flat indices, within its cell, of the basis vectors with the touched
+    digits at zero: ``pre`` words ahead of them (``block`` apart), ``post``
+    behind, coefficient stride ``x`` and ``inner`` untouched coefficients.
+    They ascend."""
+    return [(q * block + p) * x + i
             for q in range(pre) for p in range(post) for i in range(inner)]
 
 
-def _emit(f, columns, nrows, deltas, rows, cols):
-    """Add v at (row + dr, col + dc) of the column dicts ``columns`` for
-    each delta (dr, dc, v) and each aligned pair of base indices.  Repeats
-    accumulate and a sum that reaches zero is dropped; the whole batch is
-    range-checked once, from the extremes of the bases and the deltas."""
-    if not deltas or not rows:
+def _plan(f, table, entries, rows, cols):
+    """A term's batch, independent of where its two cells sit: ``entries``
+    are its (dr, dc, v) deltas from ``table``, signed, and ``rows``, ``cols``
+    the aligned base indices within the row and column cells.  Holds the
+    table, so the id that keys the plan stays its own; the deltas are
+    coerced into the field with the zeros dropped, and the bounds are the
+    extremes of base plus delta over all entries, None without any."""
+    if not entries:
+        return table, [], [], None
+    drs = [d[0] for d in entries]
+    dcs = [d[1] for d in entries]
+    bounds = (rows[0] + min(drs), rows[-1] + max(drs),
+              cols[0] + min(dcs), cols[-1] + max(dcs))
+    of, zero = f.of, f.zero
+    deltas = [(dr, dc, v) for dr, dc, c in entries
+              for v in (of(c),) if v != zero]
+    return table, deltas, list(zip(rows, cols)), bounds
+
+
+def _emit(f, columns, nrows, plan, row_off, col_off):
+    """Add v at (row_off + row + dr, col_off + col + dc) of the column dicts
+    ``columns`` for each delta (dr, dc, v) and each aligned pair of base
+    indices of ``plan``.  Repeats accumulate and a sum that reaches zero is
+    dropped; the whole batch is range-checked once, from the plan's
+    bounds."""
+    _, deltas, pairs, bounds = plan
+    if bounds is None:
         return
-    drs = [d[0] for d in deltas]
-    dcs = [d[1] for d in deltas]
-    if (min(rows) + min(drs) < 0 or max(rows) + max(drs) >= nrows
-            or min(cols) + min(dcs) < 0
-            or max(cols) + max(dcs) >= len(columns)):
+    rlo, rhi, clo, chi = bounds
+    if (row_off + rlo < 0 or row_off + rhi >= nrows or col_off + clo < 0
+            or col_off + chi >= len(columns)):
         raise InputError("a term table points outside its cochain degree")
     add = f.add
-    pairs = list(zip(rows, cols))
+    zero = f.zero
     for dr, dc, v in deltas:
-        v = f.of(v)
-        if v == f.zero:
-            continue
+        r0 = row_off + dr
+        c0 = col_off + dc
         for r, c in pairs:
-            col = columns[c + dc]
-            r += dr
+            col = columns[c + c0]
+            r += r0
             old = col.get(r)
             if old is None:
                 col[r] = v
             else:
                 nv = add(old, v)
-                if nv == f.zero:
+                if nv == zero:
                     del col[r]
                 else:
                     col[r] = nv
@@ -204,15 +227,19 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
       left:     (slot-0 letter, column coefficient) -> row coefficients,
       contract: (letter s, letter s+1) -> merged column letters,
       right:    (column coefficient, last letter) -> row coefficients,
-    each as a sparse vector.  A term whose column cell is absent is zero.
+    each as a sparse vector.  A term whose table is empty or whose column
+    cell is absent is zero.
 
-    Each differential delta_l is accumulated straight into its column
-    dicts, one ``_emit`` batch per term and cell, which become its
-    ``Matrix``.
+    A term's batch depends on its kind, its table and the shape of its two
+    cells, not on where they sit, so each is planned once per call
+    (``_plan``) and reused by every pair of cells of that shape.  Each
+    differential delta_l is accumulated straight into its column dicts,
+    one ``_emit`` batch per term and cell, which become its ``Matrix``.
     """
     neg = f.neg
     cells = [[c for c, _ in lay.values()] for lay in layout]
     dims = [sum(c.dim for c in cs) for cs in cells]
+    plans = {}
     diffs = []
     for l in range(L + 1):
         below = layout[l]
@@ -221,43 +248,59 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
         for key, (cell, slots) in layout[l + 1].items():
             left, contract, right = terms(key)
             x = cell.xdim
-            stride = [prod(slots[s + 1:]) for s in range(len(slots))]
             # left action of slot 0, sign +1
-            if left is not None and left[1] in below:
+            if left is not None and left[0] and left[1] in below:
                 table, ckey = left
                 col = below[ckey][0]
                 rest = col.mdim
-                _emit(f, columns, nrows,
-                      [(a * rest * x + xo, xi, c)
-                       for (a, xi), vec in table.items()
-                       for xo, c in vec.items()],
-                      _bases(cell.offset, 1, 0, rest, x, 1),
-                      _bases(col.offset, 1, 0, rest, col.xdim, 1))
+                pkey = (0, id(table), rest, x, col.xdim)
+                plan = plans.get(pkey)
+                if plan is None:
+                    plan = plans[pkey] = _plan(
+                        f, table,
+                        [(a * rest * x + xo, xi, c)
+                         for (a, xi), vec in table.items()
+                         for xo, c in vec.items()],
+                        _bases(1, 0, rest, x, 1),
+                        _bases(1, 0, rest, col.xdim, 1))
+                _emit(f, columns, nrows, plan, cell.offset, col.offset)
             # contraction of slots s, s+1, sign (-1)^(s+1)
             for s, (table, ckey) in enumerate(contract):
-                if ckey not in below:
+                if not table or ckey not in below:
                     continue
                 col, cslots = below[ckey]
-                post = stride[s + 1]
-                pre = prod(slots[:s])
-                _emit(f, columns, nrows,
-                      [((u * stride[s] + v * post) * x, m * post * x,
-                        c if s % 2 else neg(c))
-                       for (u, v), vec in table.items()
-                       for m, c in vec.items()],
-                      _bases(cell.offset, pre, slots[s] * stride[s], post,
-                             x, x),
-                      _bases(col.offset, pre, cslots[s] * post, post, x, x))
+                post = prod(slots[s + 2:])
+                pkey = (1, id(table), s % 2, prod(slots[:s]), slots[s],
+                        slots[s + 1], cslots[s], post, x)
+                plan = plans.get(pkey)
+                if plan is None:
+                    stride = slots[s + 1] * post
+                    pre = prod(slots[:s])
+                    plan = plans[pkey] = _plan(
+                        f, table,
+                        [((u * stride + v * post) * x, m * post * x,
+                          c if s % 2 else neg(c))
+                         for (u, v), vec in table.items()
+                         for m, c in vec.items()],
+                        _bases(pre, slots[s] * stride, post, x, x),
+                        _bases(pre, cslots[s] * post, post, x, x))
+                _emit(f, columns, nrows, plan, cell.offset, col.offset)
             # right action of the last slot, sign (-1)^(number of slots)
-            if right is not None and right[1] in below:
+            if right is not None and right[0] and right[1] in below:
                 table, ckey = right
                 col = below[ckey][0]
-                _emit(f, columns, nrows,
-                      [(a * x + xo, xi, neg(c) if len(slots) % 2 else c)
-                       for (xi, a), vec in table.items()
-                       for xo, c in vec.items()],
-                      _bases(cell.offset, col.mdim, slots[-1], 1, x, 1),
-                      _bases(col.offset, col.mdim, 1, 1, col.xdim, 1))
+                pkey = (2, id(table), len(slots) % 2, col.mdim, slots[-1], x,
+                        col.xdim)
+                plan = plans.get(pkey)
+                if plan is None:
+                    plan = plans[pkey] = _plan(
+                        f, table,
+                        [(a * x + xo, xi, neg(c) if len(slots) % 2 else c)
+                         for (xi, a), vec in table.items()
+                         for xo, c in vec.items()],
+                        _bases(col.mdim, slots[-1], 1, x, 1),
+                        _bases(col.mdim, 1, 1, col.xdim, 1))
+                _emit(f, columns, nrows, plan, cell.offset, col.offset)
         diffs.append(Matrix(f, nrows, dims[l], columns))
     tags = None
     if tagged:
@@ -269,16 +312,15 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
 # relative complex over the diagonal subalgebra
 
 
-def _cell_key(tau):
-    return (tau, (tau.target, tau.source))
-
-
-def _merge_move(t, later, earlier):
-    """Contraction data for the adjacent component pair (later, earlier):
-    the merged move and the product table of their blocks."""
-    lo, hi = earlier.source, later.target
-    merged = Stay(lo) if lo == hi else Jump(lo, hi)
-    return merged, t.block_mul(hi, later.source, lo)
+def _relative_shapes(t, l):
+    """The cells of degree l: one per trajectory tau, keyed by the tuple of
+    its moves as (source, target) pairs, in component order, followed by
+    its source level, and named (tau, (target, source))."""
+    for tau in enumerate_trajectories(t.n, l):
+        moves = tuple((m.source, m.target) for m in tau.components)
+        J, I = tau.target, tau.source
+        yield (moves + (I,), tuple(t.block_dim(b, a) for a, b in moves),
+               t.block_dim(J, I), tau.length, (tau, (J, I)))
 
 
 def build_relative_complex(t, L=4):
@@ -290,26 +332,27 @@ def build_relative_complex(t, L=4):
     degree-l trajectories tau into Hom(M_tau, block of T from source to
     target).  Every basis vector is tagged by the jump count of its
     trajectory, and the differential can only keep or raise the tag.
+
+    A cell's key is a plain tuple, ((source, target) of each move, ...,
+    source level), so the cells of each term are found by slicing it: the
+    left action drops move 0, the right action drops the first move and
+    starts at its target, and a contraction merges two adjacent moves into
+    one from the earlier's source to the later's target.
     """
-    layout = [_layout((_cell_key(tau), TrajectoryBasis.over(t, tau).slot_dims,
-                       t.block_dim(tau.target, tau.source), tau.length)
-                      for tau in enumerate_trajectories(t.n, l))
-              for l in range(L + 2)]
+    layout = [_layout(_relative_shapes(t, l)) for l in range(L + 2)]
+    block_mul = t.block_mul
 
     def terms(key):
-        tau, (J, I) = key
-        comps = tau.components
+        I = key[-1]
+        (src, J), mid = key[0], key[-2][1]
         contract = []
-        for s in range(len(comps) - 1):
-            merged, table = _merge_move(t, comps[s], comps[s + 1])
-            contract.append((table, _cell_key(Trajectory(
-                comps[:s] + (merged,) + comps[s + 2:], I))))
-        mid = comps[-1].target
-        return ((t.block_mul(J, comps[0].source, I),
-                 _cell_key(Trajectory(comps[1:], I))),
+        for s in range(len(key) - 2):
+            (src_s, hi), lo = key[s], key[s + 1][0]
+            contract.append((block_mul(hi, src_s, lo),
+                             key[:s] + ((lo, hi),) + key[s + 2:]))
+        return ((block_mul(J, src, I), key[1:]),
                 contract,
-                (t.block_mul(J, mid, I),
-                 _cell_key(Trajectory(comps[:-1], mid))))
+                (block_mul(J, mid, I), key[:-2] + (mid,)))
 
     return _word_window(t.field, L, layout, terms, tagged=True)
 
@@ -372,12 +415,11 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
 
 
 def _check_grading(m, row_keys, col_keys):
-    for c, col in enumerate(m.cols):
-        kc = col_keys[c]
-        for r in col:
-            if row_keys[r] != kc:
-                raise InternalInvariantError(
-                    "graded differential has an entry crossing grades")
+    row_key = row_keys.__getitem__
+    for col, kc in zip(m.cols, col_keys):
+        if col and set(map(row_key, col)) != {kc}:
+            raise InternalInvariantError(
+                "graded differential has an entry crossing grades")
 
 
 def _unit_quotient(a):
@@ -494,32 +536,3 @@ def build_ext_complex(n_mod, x_block, L):
                 (x_block.ract, drop_a) if p else None)
 
     return _word_window(n_mod.field, L, layout, terms)
-
-
-# ---------------------------------------------------------------------------
-# cochain complex computing Tor over a middle algebra
-
-
-def build_tor_complex(m2, m1, mid, L):
-    """Cochain window dual to the chain complex  m2 (x) mid^{(x) q} (x) m1
-    whose homology is Tor over the middle algebra: delta_{q-1} is the
-    transpose of the boundary d_q.  The boundary's terms (the right action
-    on m2, the internal contractions, the left action on m1, the j-th with
-    sign (-1)^j) all contract adjacent slots, so the cells have a
-    one-dimensional coefficient and no outer actions.  The window's
-    cohomology dimensions are the Tor dimensions."""
-    if m2.right_alg is not mid or m1.left_alg is not mid:
-        raise InputError("tensor factors do not act through the middle algebra")
-    layout = [_layout([(("tor", q), (m2.dim,) + (mid.dim,) * q + (m1.dim,), 1,
-                        None)])
-              for q in range(L + 2)]
-
-    def terms(key):
-        q = key[1]
-        below = ("tor", q - 1)
-        return (None,
-                [(m2.ract, below)] + [(mid.mul, below)] * (q - 1)
-                + [(m1.lact, below)],
-                None)
-
-    return _word_window(mid.field, L, layout, terms)

@@ -30,12 +30,13 @@ class FilteredComplex:
 
     Cycle subspaces Z_r^{p,q} = F^p C^l with boundary inside F^(p+r)
     (indices below 0 clamped to the full space, at or above n to zero)
-    are computed as kernels of tag-restricted submatrices and cached.
-    Page denominators are spanned by such bases and ``boundaries``.
-    ``graded`` cuts out the associated graded pieces, uncached.
+    are computed as kernels of tag-restricted submatrices and cached;
+    ``forget_unread`` drops the ones no call has read for a while.  Page
+    denominators are spanned by such bases and ``boundaries``.  ``graded``
+    cuts out the associated graded pieces, uncached.
     """
 
-    __slots__ = ("window", "n", "_zcache")
+    __slots__ = ("window", "n", "_zcache", "_zread")
 
     def __init__(self, window, n):
         if window.tags is None:
@@ -43,6 +44,7 @@ class FilteredComplex:
         self.window = window
         self.n = n
         self._zcache = {}
+        self._zread = set()
 
     def members(self, l, lo):
         """Basis indices of C^l with tag >= lo, ascending."""
@@ -57,6 +59,7 @@ class FilteredComplex:
         lo = max(p, 0)
         bound = min(max(p + r, 0), self.n)
         key = (lo, bound, l)
+        self._zread.add(key)
         cached = self._zcache.get(key)
         if cached is not None:
             return cached
@@ -76,6 +79,15 @@ class FilteredComplex:
         out = Subspace(f, w.dims[l], rows, pivots)
         self._zcache[key] = out
         return out
+
+    def forget_unread(self):
+        """Keep in the cache only the cycle spaces read since the last call.
+        Called at the end of each page: page r+1 reads Z_{r+1}, and Z_r
+        only through keys that page r read, so the cache never holds a
+        space that the next page would want and the last did not read."""
+        read = self._zread
+        self._zcache = {k: z for k, z in self._zcache.items() if k in read}
+        self._zread = set()
 
     def graded(self, p):
         """gr^p C = F^p C / F^(p+1) C as an untagged window of the same L:
@@ -221,6 +233,7 @@ def compute_page(fc, r):
                     "page differential image is not a cycle at its target")
             cols.append(combo)
         page.d[(p, q)] = Matrix(f, tdim, len(src_reps), cols)
+    fc.forget_unread()
     return page
 
 

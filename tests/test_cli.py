@@ -511,6 +511,28 @@ class TestSharedWindow:
         # table sections end in a blank line, which only the last drops
         assert job(tuple(alone)) == "\n".join(alone.values())
 
+    def test_pages_report_drops_each_page(self, monkeypatch):
+        """No page is alive while the pages report computes the next."""
+        class Page(spectral.SpectralPage):
+            __slots__ = ("__weakref__",)
+
+        compute = cli.compute_page
+        held, alive = [], []
+
+        def spy(fc, r):
+            alive.append(sum(ref() is not None for ref in held))
+            page = compute(fc, r)
+            mine = Page(page.r, page.n, page.L)
+            mine.dims = page.dims
+            held.append(weakref.ref(mine))
+            return mine
+
+        monkeypatch.setattr(cli, "compute_page", spy)
+        code, out, _ = run([str(DATA / "branching4.tri"), "--max-degree", "3",
+                            "--report", "pages"])
+        assert code == 0 and out.startswith("[pages] r=0")
+        assert alive == [0] * len(held) and len(held) == 4
+
     @staticmethod
     def spy(monkeypatch):
         """Record the relative complexes built and the (window, degree) of

@@ -1,5 +1,5 @@
 """Cochain-complex builders: the trajectory-decomposed relative complex,
-the brute-force oracle, and the reduced Ext/Tor complexes."""
+the brute-force oracle, and the reduced Ext complexes."""
 
 import hashlib
 from fractions import Fraction
@@ -26,7 +26,6 @@ from trihoch import (
     build_bar_complex,
     build_ext_complex,
     build_relative_complex,
-    build_tor_complex,
     center,
     chain_module,
     cohomology_dims,
@@ -278,6 +277,35 @@ class TestKeptChecks:
         with pytest.raises(InputError):
             self.one_slot_window(table)
 
+    @staticmethod
+    def right_action_window(table):
+        """delta_0 from two one-dim cells a, b into two words p, q of one
+        one-letter slot, each reading the right action ``table`` from its
+        own column cell: q's batch reuses p's term plan one index on."""
+        layout = [_layout([("a", (), 1, None), ("b", (), 1, None)]),
+                  _layout([("p", (1,), 1, None), ("q", (1,), 1, None)])]
+        below = {"p": "a", "q": "b"}
+        return _word_window(QQ, 0, layout,
+                            lambda key: (None, [], (table, below[key])))
+
+    def test_reused_plan_in_range(self):
+        w = self.right_action_window({(0, 0): {0: 1}})
+        assert w.diffs[0].cols == [{0: -1}, {1: -1}]
+
+    def test_reused_plan_past_its_degree(self):
+        """Coefficient 1 of a one-dim block lands inside C^1 from p and
+        past it from q."""
+        with pytest.raises(InputError, match="outside its cochain degree"):
+            self.right_action_window({(0, 0): {1: 1}})
+
+    def test_contraction_past_its_degree(self):
+        """Merged letter 1 of a one-letter slot: column past C^0."""
+        layout = [_layout([("x", (1,), 1, None)]),
+                  _layout([("y", (1, 1), 1, None)])]
+        with pytest.raises(InputError, match="outside its cochain degree"):
+            _word_window(QQ, 0, layout,
+                         lambda key: (None, [({(0, 0): {1: 1}}, "x")], None))
+
     def test_grading_crossing_entry(self):
         t = kronecker_algebra(QQ)
         w = bar_oracle(t, L=1)
@@ -357,63 +385,6 @@ class TestExtComplex:
         assert cohomology_dims(build_ext_complex(m, m, 2)) == [2, 0, 0]
 
 
-class TestTorComplex:
-    def test_over_field_collapses(self):
-        k = FiniteDimAlgebra.field_algebra(FP)
-        sq = FiniteDimAlgebra.product_of_fields(FP, 2)
-        d = FiniteDimAlgebra.dual_numbers(FP)
-        m2 = free_bimodule(FP, sq, k)
-        m1 = free_bimodule(FP, k, d)
-        w = build_tor_complex(m2, m1, k, 2)
-        assert cohomology_dims(w) == [4, 0, 0]
-
-    def test_over_product_one_common_factor(self):
-        k = FiniteDimAlgebra.field_algebra(FP)
-        sq = FiniteDimAlgebra.product_of_fields(FP, 2)
-        m2 = thin_bimodule(FP, k, sq)
-        m1 = thin_bimodule(FP, sq, k)
-        w = build_tor_complex(m2, m1, sq, 2)
-        assert cohomology_dims(w) == [1, 0, 0]
-
-    def test_zero_factor(self):
-        k = FiniteDimAlgebra.field_algebra(FP)
-        sq = FiniteDimAlgebra.product_of_fields(FP, 2)
-        z = Bimodule.zero(FP, k, sq)
-        m1 = thin_bimodule(FP, sq, k)
-        w = build_tor_complex(z, m1, sq, 2)
-        assert cohomology_dims(w) == [0, 0, 0]
-
-    def test_action_mismatch(self):
-        k = FiniteDimAlgebra.field_algebra(FP)
-        sq = FiniteDimAlgebra.product_of_fields(FP, 2)
-        m2 = thin_bimodule(FP, k, sq)
-        with pytest.raises(InputError):
-            build_tor_complex(m2, m2, sq, 1)
-
-    def test_separable_middle_acyclic(self):
-        """Products of copies of k in the middle force vanishing higher
-        Tor; checked on a path algebra's adjacent blocks."""
-        t = branching_algebra()
-        w = build_tor_complex(t.module(3, 2), t.module(2, 1), t.diag[1], 3)
-        dims = cohomology_dims(w)
-        assert dims[0] == t.block_dim(3, 1)
-        assert dims[1:] == [0, 0, 0]
-
-    def test_delta_squared_zero(self):
-        k = FiniteDimAlgebra.field_algebra(FP)
-        sq = FiniteDimAlgebra.product_of_fields(FP, 2)
-        d = FiniteDimAlgebra.dual_numbers(FP)
-        t = branching_algebra()
-        for m2, m1, mid in (
-                (free_bimodule(FP, sq, k), free_bimodule(FP, k, d), k),
-                (thin_bimodule(FP, k, sq), thin_bimodule(FP, sq, k), sq),
-                (free_bimodule(FP, k, d), free_bimodule(FP, d, k), d),
-                (t.module(3, 2), t.module(2, 1), t.diag[1])):
-            w = build_tor_complex(m2, m1, mid, 3)
-            for l in range(w.L):
-                assert_composes_to_zero(w.diffs[l + 1], w.diffs[l], l)
-
-
 class TestCohomologyDims:
     def test_exact_complex(self):
         w = CochainWindow(QQ, 1, None, [1, 1, 0],
@@ -439,8 +410,7 @@ def every_window(t, L):
     the relative complex; the bar oracle at the largest window up to L
     whose estimate stays within 10^6 entries, if any; the normalized bar
     complex of each diagonal algebra and the normalized Ext complex of
-    each chain of levels, as ``e1_structure_report`` builds them; and the
-    Tor complex of each pair of adjacent blocks."""
+    each chain of levels, as ``e1_structure_report`` builds them."""
     yield "relative", build_relative_complex(t, L)
     d = t.total.dim
     lw = max((l for l in range(1, L + 1)
@@ -456,10 +426,6 @@ def every_window(t, L):
                 [chain_module(t, chain),
                  x_block_bimodule(t, chain[-1], chain[0])])
             yield f"ext {chain}", build_ext_complex(n_mod, x, L)
-    for i, j, k in combinations(range(1, t.n + 1), 3):
-        m2, m1 = t.module(k, j), t.module(j, i)
-        if m2 is not None and m1 is not None:
-            yield f"tor {k}{j}{i}", build_tor_complex(m2, m1, t.diag[j - 1], L)
 
 
 FIELDS = [QQ, GF(32003), GF(2)]
@@ -523,18 +489,6 @@ def _branching_ext():
     return build_ext_complex(m31, m31, 2)
 
 
-def _dual_numbers_tor():
-    k = FiniteDimAlgebra.field_algebra(FP)
-    d = FiniteDimAlgebra.dual_numbers(FP)
-    return build_tor_complex(free_bimodule(FP, k, d), free_bimodule(FP, d, k),
-                             d, 2)
-
-
-def _branching_tor():
-    t = branching_algebra()
-    return build_tor_complex(t.module(3, 2), t.module(2, 1), t.diag[1], 3)
-
-
 PINNED = {
     "relative-kronecker": (
         lambda: build_relative_complex(kronecker_algebra(QQ), L=3),
@@ -572,12 +526,6 @@ PINNED = {
     "ext-branching-m31": (
         _branching_ext,
         "67d485c843371f3cdbe18c0d1a679c32c392e710ac66c0c9168ab866ae32419f"),
-    "tor-branching-adjacent": (
-        _branching_tor,
-        "134f792367e8763bd2981df9854ab4b0bbff6dd9d37c39656d67b214863285cc"),
-    "tor-dual-numbers": (
-        _dual_numbers_tor,
-        "0655b060555322643646fec3e662037d3ab51a5355863cdb42ed2107a95d9fa7"),
 }
 
 
@@ -587,3 +535,64 @@ def test_pinned_differentials(name):
     changed basis order or sign that keeps the dimensions shows here."""
     build, digest = PINNED[name]
     assert differential_digest(build()) == digest
+
+
+def windows_digest(t, L):
+    """sha256 over the kind and ``differential_digest`` of every window of
+    ``every_window(t, L)``."""
+    h = hashlib.sha256()
+    for kind, w in every_window(t, L):
+        h.update(f"{kind} {differential_digest(w)}\n".encode())
+    return h.hexdigest()
+
+
+# every_window's differentials, entry for entry, as the emitter assembled
+# them before cells were keyed by tuples and terms planned once per shape:
+# suite 2 at L=3, the data inputs over QQ at L=3 up to total dim 13, the
+# tetrahedron at L=2, and RP^2 and the torus at L=1
+PINNED_WINDOWS = {
+    "path0": "34dc053d87c1f1c6b1aa1a0f037c8cf7dfc924ce12bd229bf9922d3130bccca9",
+    "path1": "404659163d4503a6616cac01151b7f8b78a9b8cde94145d6579cc4176daf49d2",
+    "path2": "83dfc18e0b286ba4480ea3e38d8b87462b406718767caeca0bbc830c134c0454",
+    "path3": "bb7d822d406aa6f4c129b8681995e0b9e27c31d7c2a5e822fabefa7ccd22a896",
+    "path4": "ea7794c193ba4eade78cc337f0ed577d86c42c39b838bf5a5c1a554d7373d10c",
+    "path5": "27faf1bef32c64a78d0b78b98ddf1dcb2f4ef3e4c88ee25316e320d773319066",
+    "path6": "e9b762cdd9ad0a695199e98bfcd98cb22a39f2d568a77c4fa6333a8b4b03efb7",
+    "path7": "3d0e97ae6b009d07d04c6b84edde992a8236078d1dda678f1af58a94bc2b03ae",
+    "tensorial0": "974cba7c6b20ce2b81b4962b94815893f586a97a72a5a2c389b25d24927b027f",
+    "tensorial1": "974cba7c6b20ce2b81b4962b94815893f586a97a72a5a2c389b25d24927b027f",
+    "tensorial2": "62e22319c2bb3d2ae8df6b6cc1b661aeef23b8d4f55e36da22fe59b4f1e78d12",
+    "tensorial3": "a0c5f9b33259529a81a3a484733c33ea7ddc9d49fa2f26bfefd1c323cd155d59",
+    "tensorial4": "a0c5f9b33259529a81a3a484733c33ea7ddc9d49fa2f26bfefd1c323cd155d59",
+    "tensorial5": "c21b2930f9a0f73f92074c56eaeab6fd3eb188dcebec78aee30013d6dd33d0c3",
+    "two_by_two": "4a52a4d36275c72473185d5d03d19457a5aa36fadd33011b854e18881556d1b5",
+    "dual_square": "454c18b79df11e3a6eea29725382dd6f2d58aa94dd3fb8e28754a35007b90c29",
+    "zero_block": "35b964670c81a6bec1f06479ee477e082f6b7039fe3526fcc032003779ba1168",
+    "sparse_n4": "e7e536f91d4d2b20bcdb0d3effe8d014311dc5182b2fd020c552ca395e9837ad",
+    "kronecker": "df1d10bac40d891c9ce36d9d9fa4e6ee47d42321e5700d6e5c8a6c6733abed32",
+    "chain3": "29da94a7b277574714cb4acb600cc95da72f48af31e4d0af512efd7d497db8ea",
+    "nilpotent_action": "10281e9d36e724a31302310e37b0dd7c6c33fd775bfb4823b0eb7ab2bdaaf6ff",
+    "single_dual": "9b222f524f5382c8b42b11ee0f3e307038dd089973a5663392ea766a6b23e1e1",
+    "branching4.quiver": "f4dc89d5e4f96ce0e315e10cba7323e65c88544337fd2209f3ca06ec236ebccd",
+    "branching4.tri": "f4dc89d5e4f96ce0e315e10cba7323e65c88544337fd2209f3ca06ec236ebccd",
+    "chain3.quiver": "29da94a7b277574714cb4acb600cc95da72f48af31e4d0af512efd7d497db8ea",
+    "kronecker.quiver": "df1d10bac40d891c9ce36d9d9fa4e6ee47d42321e5700d6e5c8a6c6733abed32",
+    "rp2.simplicial": "787a209637172f1fe5e17969d9fc228f81a8fb0eaf5629ec4421b5a5ac0fbd4d",
+    "tetrahedron_boundary.simplicial": "ab5dcc939252022d47805f137c749b57a7ba7c23eb6c0c6730495f56db51d9de",
+    "torus.simplicial": "4a6b151b73129310f9eb802ea70560e41d39efc3a8af804547f0cdfdf0060e7c",
+    "triangle_boundary.simplicial": "377eb3177811080d5549bd7e90e3ae0b0454c91204bbe676ed5fcf04c9cb319a",
+    "two_by_two.tri": "4a52a4d36275c72473185d5d03d19457a5aa36fadd33011b854e18881556d1b5",
+}
+
+
+def test_pinned_windows_suite2(suite2):
+    got = {inst.name: windows_digest(inst.t, 3) for inst in suite2}
+    assert got == {name: PINNED_WINDOWS[name] for name in got}
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_pinned_windows_data(name):
+    t = data_algebra(name, QQ)
+    d = t.total.dim
+    L = 3 if d <= 13 else 2 if d <= 50 else 1
+    assert windows_digest(t, L) == PINNED_WINDOWS[name]

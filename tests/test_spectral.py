@@ -254,6 +254,34 @@ def test_pages_leave_the_window_unchanged(suite2, field):
             inst.name
 
 
+class ReadRecording(FilteredComplex):
+    """A filtered complex that lists every cycle space handed out."""
+
+    __slots__ = ("read",)
+
+    def z_space(self, p, r, l):
+        z = super().z_space(p, r, l)
+        self.read.append(z)
+        return z
+
+
+def test_page_cache_holds_what_the_page_read(suite2):
+    """After page r the cycle-space cache holds exactly the spaces that
+    page r read, and the pages are those of a complex that never forgets
+    a cycle space."""
+    for inst in suite2:
+        fc = ReadRecording(build_filtered(inst.t, L=3).window, inst.t.n)
+        for r in range(fc.n + 1):
+            fc.read = []
+            page = compute_page(fc, r)
+            assert ({id(z) for z in fc._zcache.values()}
+                    == {id(z) for z in fc.read}), (inst.name, r)
+            fresh = build_filtered(inst.t, L=3)
+            for k in range(r):
+                compute_page(fresh, k)
+            assert compute_page(fresh, r).reps == page.reps, (inst.name, r)
+
+
 @st.composite
 def barcoded_windows(draw):
     """A tagged window with a known barcode, as (FilteredComplex,

@@ -9,11 +9,11 @@ block.  On a word b_0 ... b_k the differential is
 
 ``_word_window`` is the one place that writes this sign rule and the
 index arithmetic; each public builder lays out its cells and names the
-product table of every term.  A term's batch of entries depends only on
-its kind, its table and the shapes of its two cells, so within one call
-each batch is planned once (field-coerced and signed, zeros dropped, its
-range bounds taken) and replayed at the offsets of every cell pair of
-that shape.  The builders are:
+product table of every term.  A term's deltas depend only on its kind,
+its table and the shape of its cells, so within one call each delta
+list is planned once (field-coerced and signed, zeros dropped, its
+extremes taken) and replayed at every cell pair of that shape.  The
+builders are:
 
 - ``build_relative_complex``: the complex of a triangular algebra relative
   to its diagonal, one cell per trajectory, each basis vector tagged by
@@ -156,46 +156,46 @@ def _layout(shapes):
     return out
 
 
-def _bases(pre, block, post, x, inner):
-    """Flat indices, within its cell, of the basis vectors with the touched
-    digits at zero: ``pre`` words ahead of them (``block`` apart), ``post``
-    behind, coefficient stride ``x`` and ``inner`` untouched coefficients.
-    They ascend."""
-    return [(q * block + p) * x + i
+def _pairs(pre, rblock, cblock, post, rx, cx, inner):
+    """Aligned (row, column) base indices within a term's row and column
+    cells, the touched digits at zero: ``pre`` words ahead of them
+    (``rblock``, ``cblock`` apart), ``post`` behind, coefficient strides
+    ``rx``, ``cx`` and ``inner`` untouched coefficients.  Both ascend."""
+    return [((q * rblock + p) * rx + i, (q * cblock + p) * cx + i)
             for q in range(pre) for p in range(post) for i in range(inner)]
 
 
-def _plan(f, table, entries, rows, cols):
-    """A term's batch, independent of where its two cells sit: ``entries``
-    are its (dr, dc, v) deltas from ``table``, signed, and ``rows``, ``cols``
-    the aligned base indices within the row and column cells.  Holds the
-    table, so the id that keys the plan stays its own; the deltas are
-    coerced into the field with the zeros dropped, and the bounds are the
-    extremes of base plus delta over all entries, None without any."""
+def _plan(f, table, entries):
+    """A term's deltas, which depend on its kind, its table and the shape
+    of its cells but not on where they sit: the (dr, dc, v) ``entries``
+    from ``table``, signed, coerced into the field with the zeros dropped,
+    and their extremes (dr and dc min and max) over all entries, None
+    without any.  Holds the table, so the id that keys the plan stays its
+    own."""
     if not entries:
-        return table, [], [], None
+        return table, [], None
     drs = [d[0] for d in entries]
     dcs = [d[1] for d in entries]
-    bounds = (rows[0] + min(drs), rows[-1] + max(drs),
-              cols[0] + min(dcs), cols[-1] + max(dcs))
     of, zero = f.of, f.zero
     deltas = [(dr, dc, v) for dr, dc, c in entries
               for v in (of(c),) if v != zero]
-    return table, deltas, list(zip(rows, cols)), bounds
+    return table, deltas, (min(drs), max(drs), min(dcs), max(dcs))
 
 
-def _emit(f, columns, nrows, plan, row_off, col_off):
+def _emit(f, columns, nrows, plan, row_off, col_off, pairs):
     """Add v at (row_off + row + dr, col_off + col + dc) of the column dicts
-    ``columns`` for each delta (dr, dc, v) and each aligned pair of base
-    indices of ``plan``.  Repeats accumulate and a sum that reaches zero is
-    dropped; the whole batch is range-checked once, from the plan's
-    bounds."""
-    _, deltas, pairs, bounds = plan
+    ``columns`` for each delta (dr, dc, v) of ``plan`` and each aligned
+    pair of base indices.  Repeats accumulate and a sum that reaches zero
+    is dropped; the whole batch is range-checked once, from the plan's
+    extremes and the first and last pair."""
+    _, deltas, bounds = plan
     if bounds is None:
         return
-    rlo, rhi, clo, chi = bounds
-    if (row_off + rlo < 0 or row_off + rhi >= nrows or col_off + clo < 0
-            or col_off + chi >= len(columns)):
+    drlo, drhi, dclo, dchi = bounds
+    (rlo, clo), (rhi, chi) = pairs[0], pairs[-1]
+    if (row_off + rlo + drlo < 0 or row_off + rhi + drhi >= nrows
+            or col_off + clo + dclo < 0
+            or col_off + chi + dchi >= len(columns)):
         raise InputError("a term table points outside its cochain degree")
     add = f.add
     zero = f.zero
@@ -230,9 +230,9 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
     each as a sparse vector.  A term whose table is empty or whose column
     cell is absent is zero.
 
-    A term's batch depends on its kind, its table and the shape of its two
+    A term's deltas depend on its kind, its table and the shape of its
     cells, not on where they sit, so each is planned once per call
-    (``_plan``) and reused by every pair of cells of that shape.  Each
+    (``_plan``) and reused by every cell pair of that shape.  Each
     differential delta_l is accumulated straight into its column dicts,
     one ``_emit`` batch per term and cell, which become its ``Matrix``.
     """
@@ -253,54 +253,49 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
                 table, ckey = left
                 col = below[ckey][0]
                 rest = col.mdim
-                pkey = (0, id(table), rest, x, col.xdim)
+                pkey = (0, id(table), rest, x)
                 plan = plans.get(pkey)
                 if plan is None:
                     plan = plans[pkey] = _plan(
                         f, table,
                         [(a * rest * x + xo, xi, c)
                          for (a, xi), vec in table.items()
-                         for xo, c in vec.items()],
-                        _bases(1, 0, rest, x, 1),
-                        _bases(1, 0, rest, col.xdim, 1))
-                _emit(f, columns, nrows, plan, cell.offset, col.offset)
+                         for xo, c in vec.items()])
+                _emit(f, columns, nrows, plan, cell.offset, col.offset,
+                      _pairs(1, 0, 0, rest, x, col.xdim, 1))
             # contraction of slots s, s+1, sign (-1)^(s+1)
             for s, (table, ckey) in enumerate(contract):
                 if not table or ckey not in below:
                     continue
                 col, cslots = below[ckey]
                 post = prod(slots[s + 2:])
-                pkey = (1, id(table), s % 2, prod(slots[:s]), slots[s],
-                        slots[s + 1], cslots[s], post, x)
+                stride = slots[s + 1] * post
+                pkey = (1, id(table), s % 2, stride, post, x)
                 plan = plans.get(pkey)
                 if plan is None:
-                    stride = slots[s + 1] * post
-                    pre = prod(slots[:s])
                     plan = plans[pkey] = _plan(
                         f, table,
                         [((u * stride + v * post) * x, m * post * x,
                           c if s % 2 else neg(c))
                          for (u, v), vec in table.items()
-                         for m, c in vec.items()],
-                        _bases(pre, slots[s] * stride, post, x, x),
-                        _bases(pre, cslots[s] * post, post, x, x))
-                _emit(f, columns, nrows, plan, cell.offset, col.offset)
+                         for m, c in vec.items()])
+                _emit(f, columns, nrows, plan, cell.offset, col.offset,
+                      _pairs(prod(slots[:s]), slots[s] * stride,
+                             cslots[s] * post, post, x, x, x))
             # right action of the last slot, sign (-1)^(number of slots)
             if right is not None and right[0] and right[1] in below:
                 table, ckey = right
                 col = below[ckey][0]
-                pkey = (2, id(table), len(slots) % 2, col.mdim, slots[-1], x,
-                        col.xdim)
+                pkey = (2, id(table), len(slots) % 2, x)
                 plan = plans.get(pkey)
                 if plan is None:
                     plan = plans[pkey] = _plan(
                         f, table,
                         [(a * x + xo, xi, neg(c) if len(slots) % 2 else c)
                          for (xi, a), vec in table.items()
-                         for xo, c in vec.items()],
-                        _bases(col.mdim, slots[-1], 1, x, 1),
-                        _bases(col.mdim, 1, 1, col.xdim, 1))
-                _emit(f, columns, nrows, plan, cell.offset, col.offset)
+                         for xo, c in vec.items()])
+                _emit(f, columns, nrows, plan, cell.offset, col.offset,
+                      _pairs(col.mdim, slots[-1], 1, 1, x, col.xdim, 1))
         diffs.append(Matrix(f, nrows, dims[l], columns))
     tags = None
     if tagged:

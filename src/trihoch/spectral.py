@@ -31,7 +31,7 @@ class FilteredComplex:
     Cycle subspaces Z_r^{p,q} = F^p C^l with boundary inside F^(p+r)
     (indices below 0 clamped to the full space, at or above n to zero)
     are computed as kernels of tag-restricted submatrices and cached;
-    ``forget_unread`` drops the ones no call has read for a while.  Page
+    ``forget_unread`` drops those the last page did not read.  Page
     denominators are spanned by such bases and ``boundaries``.  ``graded``
     cuts out the associated graded pieces, uncached.
     """
@@ -82,9 +82,9 @@ class FilteredComplex:
 
     def forget_unread(self):
         """Keep in the cache only the cycle spaces read since the last call.
-        Called at the end of each page: page r+1 reads Z_{r+1}, and Z_r
-        only through keys that page r read, so the cache never holds a
-        space that the next page would want and the last did not read."""
+        ``compute_page`` calls it at its end.  Page r+1 reads Z_{r+1}, and
+        Z_r only through keys that page r read, so nothing it drops there
+        is read by the next page."""
         read = self._zread
         self._zcache = {k: z for k, z in self._zcache.items() if k in read}
         self._zread = set()

@@ -46,7 +46,6 @@ from instances import (
     assert_composes_to_zero,
     chain_algebra,
     data_algebra,
-    free_bimodule,
     kronecker_algebra,
     nilpotent_action_algebra,
     thin_bimodule,

@@ -5,8 +5,7 @@ spectral sequence, cross-validated against a brute-force oracle."""
 from .errors import (BudgetExceeded, InputError, InternalInvariantError,
                      OracleMismatch, TrihochError)
 from .exactla import (GF, QQ, EchelonSolver, Field, Matrix, PrimeField,
-                      RationalField, Subspace, graded_rank, kernel,
-                      matrix_rank)
+                      RationalField, Subspace, kernel, matrix_rank)
 from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra,
                       TriangularAlgebra, assemble_total, build_tensorial,
                       center, is_separable, tensor_over, validate_triangular)

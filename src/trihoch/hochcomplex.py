@@ -44,7 +44,7 @@ from math import prod
 
 from .algebra import Bimodule, FiniteDimAlgebra
 from .errors import BudgetExceeded, InputError, InternalInvariantError
-from .exactla import Matrix, graded_rank, matrix_rank
+from .exactla import Matrix, matrix_rank
 from .trajectory import enumerate_trajectories
 
 DEFAULT_ORACLE_BUDGET = 10 ** 7
@@ -74,20 +74,18 @@ class CochainWindow:
     cells[l] lists the summands of degree l in basis order (cells is None
     for a window not laid out in cells, such as a graded piece or a
     hand-built one); tags[l] gives the filtration tag of each basis vector
-    (None when unfiltered); kappa[l] optionally grades the basis for split
-    rank computations.
+    (None when unfiltered).
     """
 
-    __slots__ = ("field", "L", "cells", "dims", "diffs", "tags", "kappa")
+    __slots__ = ("field", "L", "cells", "dims", "diffs", "tags")
 
-    def __init__(self, field, L, cells, dims, diffs, tags=None, kappa=None):
+    def __init__(self, field, L, cells, dims, diffs, tags=None):
         self.field = field
         self.L = L
         self.cells = cells
         self.dims = dims
         self.diffs = diffs
         self.tags = tags
-        self.kappa = kappa
 
     def rank_of_delta(self, l, cleared, leads):
         """Rank of delta_l without its columns in ``cleared``, which must be
@@ -102,8 +100,6 @@ class CochainWindow:
         if cleared:
             cols = [x for c, x in enumerate(m.cols) if c not in cleared]
             m = Matrix(m.field, m.nrows, len(cols), cols)
-        if self.kappa is not None and self.kappa[l + 1] is not None:
-            return graded_rank(m, self.kappa[l + 1], leads)
         return matrix_rank(m, leads)
 
     def __repr__(self):
@@ -216,7 +212,7 @@ def _emit(f, columns, nrows, plan, row_off, col_off, pairs):
                     col[r] = nv
 
 
-def _word_window(f, L, layout, terms, tagged=False, kappa=None):
+def _word_window(f, L, layout, terms, tagged=False):
     """The window of degrees 0..L+1 whose degree l has the cells of
     ``layout[l]`` (dict key -> (Cell, slot dims), in basis order).
 
@@ -300,7 +296,7 @@ def _word_window(f, L, layout, terms, tagged=False, kappa=None):
     tags = None
     if tagged:
         tags = [[c.tag for c in cs for _ in range(c.dim)] for cs in cells]
-    return CochainWindow(f, L, cells, dims, diffs, tags=tags, kappa=kappa)
+    return CochainWindow(f, L, cells, dims, diffs, tags=tags)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +367,9 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
 
     ``grading`` optionally gives (per-T-basis, per-X-basis) integer weights
     that every product and action preserves; when present, each basis
-    vector gets the key  sum of word weights - coefficient weight, entries
-    are checked to respect it, and ranks later split along it.
+    vector has the grade  sum of word weights - coefficient weight, and
+    every entry of every differential is checked to keep it.  The grading
+    is only checked: the ranks are taken on the whole matrices.
 
     Refuses builds whose estimated entry count exceeds the budget.
     """
@@ -382,18 +379,6 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
     if required > budget:
         raise BudgetExceeded(required, budget)
 
-    kappa = None
-    if grading is not None:
-        tweight, xweight = grading
-        # word sums of degree l extend those of degree l - 1 by one letter,
-        # in the lexicographic word order of the cell layout
-        ws = [0]
-        kappa = []
-        for l in range(L + 2):
-            if l:
-                ws = [s + w for s in ws for w in tweight]
-            kappa.append([s - x for s in ws for x in xweight])
-
     layout = [_layout([(("bar", l), (d,) * l, dx, None)])
               for l in range(L + 2)]
 
@@ -402,11 +387,26 @@ def build_bar_complex(t_total, x, L, budget=DEFAULT_ORACLE_BUDGET,
         return ((x.lact, below), [(t_total.mul, below)] * (key[1] - 1),
                 (x.ract, below))
 
-    w = _word_window(t_total.field, L, layout, terms, kappa=kappa)
-    if kappa is not None:
+    w = _word_window(t_total.field, L, layout, terms)
+    if grading is not None:
+        grades = _bar_grades(*grading, L)
         for l in range(L + 1):
-            _check_grading(w.diffs[l], kappa[l + 1], kappa[l])
+            _check_grading(w.diffs[l], grades[l + 1], grades[l])
     return w
+
+
+def _bar_grades(tweight, xweight, L):
+    """The grade of each basis vector of degrees 0..L+1 of the bar complex,
+    sum of word weights - coefficient weight, in basis order."""
+    # word sums of degree l extend those of degree l - 1 by one letter,
+    # in the lexicographic word order of the cell layout
+    ws = [0]
+    grades = []
+    for l in range(L + 2):
+        if l:
+            ws = [s + w for s in ws for w in tweight]
+        grades.append([s - x for s in ws for x in xweight])
+    return grades
 
 
 def _check_grading(m, row_keys, col_keys):

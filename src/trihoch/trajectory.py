@@ -96,17 +96,6 @@ class Trajectory:
         """Moves in the order they happen (reversed component order)."""
         return tuple(reversed(self.components))
 
-    def profile(self):
-        """Run lengths of stays (p_1, ..., p_{t+1}), chronological: p_1
-        before the first jump, p_{t+1} after the last."""
-        runs = [0]
-        for move in self.chronological():
-            if move.is_jump:
-                runs.append(0)
-            else:
-                runs[-1] += 1
-        return tuple(runs)
-
     def visited(self):
         """Levels touched by the jumps, ascending: (k_1, ..., k_{t+1})."""
         out = [self.source]

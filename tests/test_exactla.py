@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-import trihoch.exactla
 from trihoch import (
     GF,
     QQ,
@@ -15,7 +14,6 @@ from trihoch import (
     InputError,
     Matrix,
     Subspace,
-    graded_rank,
     kernel,
     matrix_rank,
 )
@@ -92,25 +90,18 @@ class TestGoldens:
         m = matrix_of_rows(f, [[a, b, a + b] for a, b, _ in full])
         assert matrix_rank(m) == 2 == m.ncols - kernel(m).dim
 
-    def test_rank_eliminates_shorter_side(self, f, monkeypatch):
-        sizes = []  # vectors fed to each solver
-
-        class Recorded(EchelonSolver):
-            def __init__(self, field):
-                super().__init__(field)
-                sizes.append(0)
-
-            def _feed(self, vec, combo):
-                sizes[-1] += 1
-                return super()._feed(vec, combo)
-
-        monkeypatch.setattr(trihoch.exactla, "EchelonSolver", Recorded)
+    def test_rank_eliminates_shorter_side(self, f):
+        # a rank taken by columns hands back the rows its pivots lead at,
+        # one taken by rows hands back nothing
         tall = [[1, 0, 2]] * 5 + [[0, 0, 0], [0, 1, 1], [1, 1, 3]]
         wide = [list(col) for col in zip(*tall)]
-        for d in (tall, wide):
-            assert matrix_rank(matrix_of_rows(f, d)) == 2
-        # 7 nonempty rows against 3 nonempty columns, then the transpose
-        assert sizes == [3, 3]
+        tall_leads, wide_leads = set(), set()
+        assert matrix_rank(matrix_of_rows(f, tall), tall_leads) == 2
+        assert matrix_rank(matrix_of_rows(f, wide), wide_leads) == 2
+        # 7 nonempty rows against 3 nonempty columns: the columns are
+        # eliminated; the transpose is eliminated by its 3 rows
+        assert tall_leads == {0, 6}
+        assert wide_leads == set()
 
     def test_kernel_identity(self, f):
         m = matrix_of_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -297,12 +288,65 @@ def graded_matrices(draw):
 
 @given(graded_matrices())
 def test_graded_rank_matches_matrix_rank(mk):
+    # rows of different grades share no columns, so one flat rank never
+    # mixes grades: it is the sum of the ranks of the grade blocks
     m, keys = mk
     before = [dict(c) for c in m.cols]
-    assert graded_rank(m, keys) == matrix_rank(m) == m.ncols - kernel(m).dim
+    blocks = {}
+    for x in m.cols:
+        if x:
+            blocks.setdefault(keys[next(iter(x))], []).append(x)
+    graded = sum(matrix_rank(Matrix(m.field, m.nrows, len(xs), xs))
+                 for xs in blocks.values())
+    assert matrix_rank(m) == graded == m.ncols - kernel(m).dim
     assert m.cols == before
     # the transpose eliminates the other side of each grade's block
     assert matrix_rank(transpose(m)) == matrix_rank(m)
+
+
+@st.composite
+def shared_lead_matrices(draw):
+    """Sparse matrices in which many columns share their lead (lowest
+    row): after a first column, each is new, a scaled copy of an earlier
+    one, or agrees with an earlier one at its lead and differs only
+    below it."""
+    f = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(1, 9))
+    column = st.lists(sparse_entry, min_size=nrows, max_size=nrows)
+    cols = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["new", "copy", "below"]))
+        base = draw(st.sampled_from(cols)) if cols else {}
+        if kind == "copy" and base:
+            c = f.of(draw(sparse_entry.filter(bool)))
+            cols.append({r: f.mul(c, v) for r, v in base.items()})
+            continue
+        col = {r: v for r, v in enumerate(map(f.of, draw(column))) if v}
+        if kind == "below" and base:
+            lead = min(base)
+            col = {r: v for r, v in col.items() if r > lead}
+            col[lead] = base[lead]
+        cols.append(col)
+    return Matrix(f, nrows, len(cols), cols)
+
+
+@given(shared_lead_matrices())
+def test_free_leads_match_the_solver(m):
+    # the reference feeds the lines the rank eliminates, the columns
+    # unless the nonempty rows are fewer, sparsest first, one at a time
+    lines = [x for x in m.cols if x]
+    by_rows = len(set().union(*lines)) < len(lines)
+    if by_rows:
+        lines = transpose(Matrix(m.field, m.nrows, len(lines), lines)).cols
+    solver = EchelonSolver(m.field)
+    for line in sorted((x for x in lines if x), key=len):
+        solver.add(line)
+    before = [dict(c) for c in m.cols]
+    leads = set()
+    assert matrix_rank(m, leads) == len(solver.pivots)
+    assert len(solver.pivots) == m.ncols - kernel(m).dim
+    assert leads == (set() if by_rows else set(solver.pivots))
+    assert m.cols == before
 
 
 @st.composite
@@ -496,7 +540,6 @@ def test_elimination_leaves_inputs_unchanged(f, data):
     cols = m.cols
     saved = copy.deepcopy((cols, extra))
     matrix_rank(m)
-    graded_rank(m, [0] * m.nrows)
     kernel(m)
     Subspace.from_vectors(f, m.nrows, cols)
     assert (cols, extra) == saved

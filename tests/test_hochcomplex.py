@@ -37,8 +37,8 @@ from trihoch import (
     x_block_bimodule,
 )
 
-from trihoch.hochcomplex import (_check_grading, _layout, _word_window,
-                                 over_unit_quotients)
+from trihoch.hochcomplex import (_bar_grades, _check_grading, _layout,
+                                 _word_window, over_unit_quotients)
 
 from instances import (
     DATA_NAMES,
@@ -308,7 +308,12 @@ class TestKeptChecks:
     def test_grading_crossing_entry(self):
         t = kronecker_algebra(QQ)
         w = bar_oracle(t, L=1)
-        keys = w.kappa
+        # the grading ``bar_oracle`` hands to ``build_bar_complex``
+        total = t.total
+        weight = [j - i for (j, i) in t.block_of]
+        _, letter = over_unit_quotients(
+            [Bimodule(QQ, total.dim, total, total, total.mul, total.mul)])
+        keys = _bar_grades([weight[k] for k in letter], weight, w.L)
         for l in range(w.L + 1):
             _check_grading(w.diffs[l], keys[l + 1], keys[l])
         d = w.diffs[1]

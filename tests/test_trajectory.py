@@ -33,21 +33,19 @@ class TestMoves:
         with pytest.raises(InputError):
             Trajectory([Stay(1)], 2)
 
-    def test_profile_and_visited(self):
+    def test_visited(self):
         # chronological: stay at 1, jump 1->2, stay, stay, jump 2->4
         tau = Trajectory([Jump(2, 4), Stay(2), Stay(2), Jump(1, 2), Stay(1)],
                          1)
         assert tau.degree == 5
         assert tau.length == 2
         assert tau.source == 1 and tau.target == 4
-        assert tau.profile() == (1, 2, 0)
         assert tau.visited() == (1, 2, 4)
 
     def test_empty_trajectory(self):
         tau = Trajectory([], 3)
         assert tau.degree == 0 and tau.length == 0
         assert tau.source == tau.target == 3
-        assert tau.profile() == (0,)
         assert tau.visited() == (3,)
 
 

@@ -12,15 +12,14 @@ from .algebra import (Bimodule, BimoduleMap, FiniteDimAlgebra,
 from .quiver import (LevelAssignment, Quiver, SimplicialComplex,
                      check_acyclic, compute_levels, enumerate_paths,
                      incidence_algebra, path_algebra, simplicial_cohomology)
-from .trajectory import (Jump, Stay, Trajectory, TrajectoryBasis,
-                         enumerate_trajectories, module_dim, slot_dims)
+from .trajectory import TrajectoryBasis, enumerate_trajectories, slot_dims
 from .hochcomplex import (Cell, CochainWindow, DEFAULT_ORACLE_BUDGET,
                           bar_budget_estimate, bar_oracle, build_bar_complex,
                           build_ext_complex, build_relative_complex,
                           cohomology_dims)
 from .spectral import (FilteredComplex, SpectralPage, build_filtered,
                        chain_module, check_degeneration_A2k, compute_page,
-                       cup_d1_general, cup_d1_n3, e1_structure_report,
+                       cup_d1_general, e1_structure_report,
                        x_block_bimodule)
 from .cli import (JobSpec, emit_quiver, emit_simplicial, emit_triangular,
                   parse_quiver_file, parse_simplicial_file,

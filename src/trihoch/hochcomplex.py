@@ -17,10 +17,10 @@ builders are:
 
 - ``build_relative_complex``: the complex of a triangular algebra relative
   to its diagonal, one cell per trajectory, each basis vector tagged by
-  the jump count that filters it.  Cells are keyed by plain tuples, the
-  (source, target) pair of each move and then the source level, so the
-  cells a term reads are found by slicing the key, and ``Cell.key`` is
-  (trajectory, (target, source));
+  the jump count that filters it.  ``Cell.key`` is the trajectory's key
+  (``trajectory.py``), a plain tuple: the (source, target) pair of each
+  move and then the source level, so the cells a term reads are found by
+  slicing it;
 - ``build_bar_complex``: the classical complex Hom(T^{(x) l}, X);
 - ``bar_oracle``: the independent oracle, the normalized complex
   Hom(Tbar^{(x) l}, T) with Tbar = T/k.1, built by ``build_bar_complex``
@@ -45,7 +45,7 @@ from math import prod
 from .algebra import Bimodule, FiniteDimAlgebra
 from .errors import BudgetExceeded, InputError, InternalInvariantError
 from .exactla import Matrix, matrix_rank
-from .trajectory import enumerate_trajectories
+from .trajectory import enumerate_trajectories, slot_dims
 
 DEFAULT_ORACLE_BUDGET = 10 ** 7
 
@@ -140,12 +140,11 @@ def cohomology_dims(w, top=None):
 
 def _layout(shapes):
     """One degree's cells in basis order from (key, slot dims, coefficient
-    dim, tag[, name]) shapes, empty cells dropped: dict key -> (Cell, slot
-    dims).  A cell's ``key`` is its name, by default the key itself."""
+    dim, tag) shapes, empty cells dropped: dict key -> (Cell, slot dims)."""
     out = {}
     offset = 0
-    for key, slots, xdim, tag, *name in shapes:
-        cell = Cell(name[0] if name else key, offset, prod(slots), xdim, tag)
+    for key, slots, xdim, tag in shapes:
+        cell = Cell(key, offset, prod(slots), xdim, tag)
         if cell.dim:
             out[key] = (cell, slots)
             offset += cell.dim
@@ -304,14 +303,12 @@ def _word_window(f, L, layout, terms, tagged=False):
 
 
 def _relative_shapes(t, l):
-    """The cells of degree l: one per trajectory tau, keyed by the tuple of
-    its moves as (source, target) pairs, in component order, followed by
-    its source level, and named (tau, (target, source))."""
+    """The cells of degree l: one per trajectory key tau, coefficients in
+    the block from its source to its target, tagged by its jump count."""
     for tau in enumerate_trajectories(t.n, l):
-        moves = tuple((m.source, m.target) for m in tau.components)
-        J, I = tau.target, tau.source
-        yield (moves + (I,), tuple(t.block_dim(b, a) for a, b in moves),
-               t.block_dim(J, I), tau.length, (tau, (J, I)))
+        target = tau[0][1] if l else tau[0]
+        yield (tau, slot_dims(t, tau), t.block_dim(target, tau[-1]),
+               sum(a != b for a, b in tau[:-1]))
 
 
 def build_relative_complex(t, L=4):

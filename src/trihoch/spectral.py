@@ -21,7 +21,7 @@ from .exactla import EchelonSolver, Matrix, Subspace, kernel, matrix_rank
 from .hochcomplex import (CochainWindow, build_bar_complex,
                           build_ext_complex, build_relative_complex,
                           cohomology_dims, over_unit_quotients)
-from .trajectory import Jump, Stay, Trajectory, TrajectoryBasis
+from .trajectory import TrajectoryBasis
 
 
 class FilteredComplex:
@@ -348,15 +348,8 @@ def e1_structure_report(t, fc):
 
 
 def _cell_map(t, window, l):
-    out = {}
-    for cell in window.cells[l]:
-        tau = cell.key[0]
-        out[tau] = (cell, TrajectoryBasis.over(t, tau))
-    return out
-
-
-def _stays(v, count):
-    return tuple(Stay(v) for _ in range(count))
+    return {cell.key: (cell, TrajectoryBasis.over(t, cell.key))
+            for cell in window.cells[l]}
 
 
 def cup_d1_general(t, tau, f, window):
@@ -366,12 +359,13 @@ def cup_d1_general(t, tau, f, window):
     below its bottom level, and all middle insertions of composition maps
     with their position signs.
 
-    ``f`` is a sparse vector over the window's degree-l coordinates
-    supported on the cell of ``tau``; the result is a sparse vector over
-    degree l+1, supported on jump-count tau.length + 1.
+    ``tau`` is a trajectory key (``trajectory.py``) and ``f`` a sparse
+    vector over the window's degree-l coordinates supported on its cell;
+    the result is a sparse vector over degree l+1, supported on the jump
+    count of tau plus one.
     """
     fld = t.field
-    l = tau.degree
+    l = len(tau) - 1
     n = t.n
     src_map = _cell_map(t, window, l)
     if tau not in src_map:
@@ -382,9 +376,8 @@ def cup_d1_general(t, tau, f, window):
         if not (lo <= k < hi):
             raise InputError("cochain is not supported on the named cell")
     tgt_map = _cell_map(t, window, l + 1)
-    K = tau.visited()
-    top = K[-1]
-    botm = K[0]
+    top = tau[0][1] if l else tau[0]
+    botm = tau[-1]
     xdim = cell.xdim
     out = {}
 
@@ -394,8 +387,7 @@ def cup_d1_general(t, tau, f, window):
     # left cups: prepend a jump above the top level, evaluate by the
     # left action on the coefficient
     for w_lev in range(top + 1, n + 1):
-        jtau = Trajectory((Jump(top, w_lev),) + tau.components, tau.source)
-        rc = tgt_map.get(jtau)
+        rc = tgt_map.get(((top, w_lev),) + tau)
         if rc is None:
             continue
         tcell = rc[0]
@@ -416,8 +408,7 @@ def cup_d1_general(t, tau, f, window):
     # right cups: append a jump below the bottom level, sign (-1)^(l+1)
     sign = fld.one if (l + 1) % 2 == 0 else fld.neg(fld.one)
     for k0 in range(1, botm):
-        jtau = Trajectory(tau.components + (Jump(k0, botm),), k0)
-        rc = tgt_map.get(jtau)
+        rc = tgt_map.get(tau[:-1] + ((k0, botm), k0))
         if rc is None:
             continue
         tcell = rc[0]
@@ -439,19 +430,13 @@ def cup_d1_general(t, tau, f, window):
     # middle insertions: split each jump through every strictly
     # intermediate level by its composition map; the sign is the slot
     # position of the new pair
-    comps = tau.components
-    for s, move in enumerate(comps):
-        if not move.is_jump:
-            continue
-        ki, kip = move.source, move.target
+    for s, (ki, kip) in enumerate(tau[:-1]):
         for alpha in range(ki + 1, kip):
             table = t.block_mul(kip, alpha, ki)
             if not table:
                 continue
-            new_comps = (comps[:s] + (Jump(alpha, kip), Jump(ki, alpha))
-                         + comps[s + 1:])
-            jtau = Trajectory(new_comps, tau.source)
-            rc = tgt_map.get(jtau)
+            rc = tgt_map.get(tau[:s] + ((alpha, kip), (ki, alpha))
+                             + tau[s + 1:])
             if rc is None:
                 continue
             tcell, tbasis = rc
@@ -467,46 +452,6 @@ def cup_d1_general(t, tau, f, window):
                     fld.row_addmul(out, {base + xi: f[src + xi]
                                          for xi in range(xdim) if src + xi in f},
                                    fld.mul(sg, a))
-    return out
-
-
-def cup_d1_n3(t, f, g, h, l, window):
-    """The three-level cup-product display for the first differential on
-    the column-0 summands: identities of the three gap blocks cupped on
-    the left of (f, g, h) and on the right with sign (-1)^(l+1).
-
-    f, g, h are degree-l cocycles of the bar complexes of the three
-    diagonal algebras with coefficients in their diagonal blocks, given
-    as sparse vectors over those bar windows' degree-l coordinates;
-    non-cocycles are rejected.  Returns the column-1 cochain as a sparse
-    vector over the window's degree-(l+1) coordinates.
-    """
-    if t.n != 3:
-        raise InputError("this display is specific to three levels")
-    fld = t.field
-
-    for i, fi in ((1, f), (2, g), (3, h)):
-        blk = x_block_bimodule(t, i, i)
-        bw = build_bar_complex(t.diag[i - 1], blk, l)
-        img = bw.diffs[l].apply(fi)
-        if img:
-            raise InputError(
-                f"input cochain at level {i} is not a cocycle; its class "
-                "map is ill-defined")
-
-    # embed each cocycle as a pure stay-power cochain and cup per display
-    out = {}
-    src_map = _cell_map(t, window, l)
-    for i, fi in ((1, f), (2, g), (3, h)):
-        tau = Trajectory(_stays(i, l), i)
-        rc = src_map.get(tau)
-        if rc is None:
-            if fi:
-                raise InputError(
-                    f"window is missing the degree-{l} stay cell at level {i}")
-            continue
-        emb = {rc[0].offset + k: c for k, c in fi.items()}
-        fld.row_addmul(out, cup_d1_general(t, tau, emb, window), fld.one)
     return out
 
 
@@ -581,12 +526,10 @@ def check_degeneration_A2k(t, fc):
             cocycles = kernel(bw.diffs[l])
             if cocycles.dim == 0:
                 continue
-            src_map = _cell_map(t, w, l)
-            tau = Trajectory(_stays(lvl, l), lvl)
-            rc = src_map.get(tau)
-            if rc is None:
+            tau = ((lvl, lvl),) * l + (lvl,)   # stays at lvl
+            cell = next((c for c in w.cells[l] if c.key == tau), None)
+            if cell is None:
                 continue
-            cell, _ = rc
             if l not in solvers:
                 bounds = EchelonSolver(w.field)
                 for vec in fc.boundaries(2, 2, l + 1):

@@ -43,7 +43,7 @@ def split_by_cell(window, v, l):
         lo, hi = cell.offset, cell.offset + cell.dim
         piece = {k: c for k, c in v.items() if lo <= k < hi}
         if piece:
-            pieces.append((cell.key[0], piece))
+            pieces.append((cell.key, piece))
     return pieces
 
 

@@ -15,10 +15,7 @@ from trihoch import (
     FilteredComplex,
     FiniteDimAlgebra,
     InputError,
-    Trajectory,
     TriangularAlgebra,
-    Stay,
-    Jump,
     EchelonSolver,
     Matrix,
     Subspace,
@@ -32,7 +29,6 @@ from trihoch import (
     compute_levels,
     compute_page,
     cup_d1_general,
-    cup_d1_n3,
     e1_structure_report,
     matrix_rank,
     path_algebra,
@@ -518,6 +514,46 @@ class TestNormalizedSummands:
         self.check(t, 3 if t.total.dim <= 13 else 1)
 
 
+def cup_d1_n3(t, f, g, h, l, window):
+    """The paper's three-level cup-product display for the first
+    differential on the column-0 summands: identities of the three gap
+    blocks cupped on the left of (f, g, h) and on the right with sign
+    (-1)^(l+1), each summed by ``cup_d1_general``.
+
+    f, g, h are degree-l cocycles of the bar complexes of the three
+    diagonal algebras with coefficients in their diagonal blocks, given
+    as sparse vectors over those bar windows' degree-l coordinates;
+    non-cocycles are rejected.  Returns the column-1 cochain as a sparse
+    vector over the window's degree-(l+1) coordinates.
+    """
+    if t.n != 3:
+        raise InputError("this display is specific to three levels")
+    fld = t.field
+
+    for i, fi in ((1, f), (2, g), (3, h)):
+        blk = x_block_bimodule(t, i, i)
+        bw = build_bar_complex(t.diag[i - 1], blk, l)
+        img = bw.diffs[l].apply(fi)
+        if img:
+            raise InputError(
+                f"input cochain at level {i} is not a cocycle; its class "
+                "map is ill-defined")
+
+    # embed each cocycle as a pure stay-power cochain and cup per display
+    out = {}
+    for i, fi in ((1, f), (2, g), (3, h)):
+        tau = ((i, i),) * l + (i,)
+        cell = next((c for c in window.cells[l] if c.key == tau), None)
+        if cell is None:
+            if fi:
+                raise InputError(
+                    f"window is missing the degree-{l} stay cell at level {i}")
+            continue
+        emb = {cell.offset + k: c for k, c in fi.items()}
+        fld.row_addmul(out, cup_d1_general(t, tau, emb, window), fld.one)
+    return out
+
+
 class TestCupProducts:
     def test_degree_zero_display(self, branching):
         """Center elements (1, 2, (3, 4)) at the three levels: the display
@@ -552,8 +588,8 @@ class TestCupProducts:
         bw = build_bar_complex(t.diag[0], blk, 1)
         deriv = {3: FP.one}  # x -> x
         assert bw.diffs[1].apply(deriv) == {}
-        tau = Trajectory([Stay(1)], 1)
-        cell = next(c for c in w.cells[1] if c.key[0] == tau)
+        tau = ((1, 1), 1)
+        cell = next(c for c in w.cells[1] if c.key == tau)
         emb = {cell.offset + k: v for k, v in deriv.items()}
         got = cup_d1_general(t, tau, emb, w)
         full = w.diffs[1].apply(emb)
@@ -569,7 +605,7 @@ class TestCupProducts:
     def test_rejects_support_outside_cell(self):
         t = nilpotent_action_algebra()
         fc = build_filtered(t, L=2)
-        tau = Trajectory([Stay(1)], 1)
+        tau = ((1, 1), 1)
         with pytest.raises(InputError, match="not supported on the named cell"):
             cup_d1_general(t, tau, {10 ** 6: FP.one}, fc.window)
 
@@ -578,9 +614,12 @@ class TestCupProducts:
         t = TriangularAlgebra(FP, 3, ks,
                               {(2, 1): thin_bimodule(FP, ks[1], ks[0])}, {})
         fc = build_filtered(t, L=2)
-        tau = Trajectory([Jump(2, 3)], 2)
-        with pytest.raises(InputError, match="not present in the window"):
-            cup_d1_general(t, tau, {0: FP.one}, fc.window)
+        # an absent block, then a downward jump, moves that are not
+        # consecutive, and a source that is not the first move's
+        for tau in (((2, 3), 2), ((3, 2), 3), ((2, 2), (1, 1), 1),
+                    ((1, 1), 2)):
+            with pytest.raises(InputError, match="not present in the window"):
+                cup_d1_general(t, tau, {0: FP.one}, fc.window)
 
 
 class TestDegeneration:
